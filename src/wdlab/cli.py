@@ -96,7 +96,7 @@ def _cmd_count(args) -> int:
     if args.classic:
         count = count_ee_eo_classic(D, bound=_env_bound())
     else:
-        count = count_ee_eo_wd(D, threads=args.threads)
+        count = count_ee_eo_wd(D)
     payload = {
         "ee": str(count.ee),
         "eo": str(count.eo),
@@ -164,15 +164,13 @@ def _cmd_check_hypothesis(args) -> int:
 
 def _cmd_sweep(args) -> int:
     G = _load_graph(args.file)
-    report = conjecture_sweep(
-        G, bound=_env_bound(), limit=args.limit, threads=args.threads
-    )
+    report = conjecture_sweep(G, bound=_env_bound(), limit=args.limit)
     if args.json:
         witness = None
         if report.witness is not None:
             witness = {
                 "index": report.witness_index,
-                "coefficient": str(additive_coefficient(report.witness)),
+                "coefficient": str(report.witness_coefficient),
                 "arcs": [list(a) for a in report.witness.sorted_arcs()],
             }
         print(
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--wd", action="store_true", help="count for the sector digraph (default)")
     mode.add_argument("--classic", action="store_true", help="count for the orientation itself")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("coefficient", help="certificate coefficient of a polynomial")
@@ -268,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a generated graph or orientation file")

@@ -21,7 +21,6 @@ from .graphs import (
     Orientation,
     VertexPartition,
     enumerate_orientations,
-    orientation_from_index,
     simplicial_vertices,
     two_color,
 )
@@ -173,7 +172,8 @@ class SweepReport:
 
     `histogram` maps additive coefficient values to how many orientations
     produced them; the witness is the lowest-index orientation with a
-    nonzero coefficient, or None when all coefficients vanish.
+    nonzero coefficient, and `witness_coefficient` is its coefficient.
+    All three witness fields are None when every coefficient vanishes.
     """
 
     examined: int
@@ -181,6 +181,7 @@ class SweepReport:
     zero_count: int
     witness_index: Optional[int]
     witness: Optional[Orientation]
+    witness_coefficient: Optional[int]
 
     @property
     def has_witness(self) -> bool:
@@ -191,54 +192,28 @@ def conjecture_sweep(
     G: Graph,
     bound: Optional[int] = None,
     limit: Optional[int] = None,
-    threads: int = 1,
 ) -> SweepReport:
     """Compute the additive coefficient of every orientation of G.
 
-    `limit` truncates the scan to the first orientations by index;
-    `threads` splits the index range, with chunk results merged in order
-    so the report never depends on the worker count.
+    `limit` truncates the scan to the first orientations by index.
     """
     total = 1 << len(G.edges)
     examined = total if limit is None else min(limit, total)
     histogram: dict[int, int] = {}
     witness_index: Optional[int] = None
-
-    def scan(start: int, stop: int) -> tuple[dict[int, int], Optional[int]]:
-        hist: dict[int, int] = {}
-        first: Optional[int] = None
-        index = start
-        for D in enumerate_orientations(G, bound=bound, start=start, stop=stop):
-            coef = additive_coefficient(D)
-            hist[coef] = hist.get(coef, 0) + 1
-            if coef != 0 and first is None:
-                first = index
-            index += 1
-        return hist, first
-
-    if threads <= 1 or examined < 2:
-        chunks = [scan(0, examined)]
-    else:
-        size = -(-examined // threads)
-        ranges = [
-            (lo, min(lo + size, examined)) for lo in range(0, examined, size)
-        ]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda r: scan(*r), ranges))
-
-    for hist, first in chunks:
-        for coef, count in hist.items():
-            histogram[coef] = histogram.get(coef, 0) + count
-        if witness_index is None and first is not None:
-            witness_index = first
-
-    witness = orientation_from_index(G, witness_index) if witness_index is not None else None
+    witness: Optional[Orientation] = None
+    witness_coefficient: Optional[int] = None
+    orientations = enumerate_orientations(G, bound=bound, stop=examined)
+    for index, D in enumerate(orientations):
+        coef = additive_coefficient(D)
+        histogram[coef] = histogram.get(coef, 0) + 1
+        if coef != 0 and witness_index is None:
+            witness_index, witness, witness_coefficient = index, D, coef
     return SweepReport(
         examined=examined,
         histogram=dict(sorted(histogram.items())),
         zero_count=histogram.get(0, 0),
         witness_index=witness_index,
         witness=witness,
+        witness_coefficient=witness_coefficient,
     )

@@ -13,7 +13,6 @@ All counts are exact Python integers; nothing here can overflow.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
@@ -194,7 +193,7 @@ class _WdChoices:
         return even, odd
 
 
-def count_ee_eo_wd(D: Orientation, threads: int = 1) -> EulerianCount:
+def count_ee_eo_wd(D: Orientation) -> EulerianCount:
     """Even/odd Eulerian counts of W(D) without materializing W(D).
 
     Walks the arcs of D in sorted order, choosing per arc either no path
@@ -203,39 +202,7 @@ def count_ee_eo_wd(D: Orientation, threads: int = 1) -> EulerianCount:
     choice space exact, and star balance is the only Eulerian constraint
     left to track.
     """
-    choices = _WdChoices(D)
-    zero = (0,) * D.n
-    if threads <= 1 or not choices.arcs:
-        even, odd = choices.count_from(0, zero, {})
-        return EulerianCount(even, odd)
-
-    # Split the first arc's choices across workers; each branch gets its
-    # own memo, and results are combined in choice order so the total is
-    # independent of the worker count.
-    v = choices.arcs[0][0]
-    tasks: list[tuple[tuple[int, ...], bool]] = [(zero, False)]
-    for x in choices.direct[0]:
-        bal = list(zero)
-        bal[v - 1] += 1
-        bal[x - 1] -= 1
-        tasks.append((tuple(bal), True))
-    for x in choices.detour[0]:
-        bal = list(zero)
-        bal[v - 1] += 1
-        bal[x - 1] -= 1
-        tasks.append((tuple(bal), False))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(
-            pool.map(lambda t: choices.count_from(1, t[0], {}), tasks)
-        )
-    even = odd = 0
-    for (sub_even, sub_odd), (_, flips) in zip(results, tasks):
-        if flips:
-            even += sub_odd
-            odd += sub_even
-        else:
-            even += sub_even
-            odd += sub_odd
+    even, odd = _WdChoices(D).count_from(0, (0,) * D.n, {})
     return EulerianCount(even, odd)
 
 

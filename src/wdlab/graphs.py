@@ -116,10 +116,10 @@ class Orientation:
         return self._adj[v] | {v}
 
     def out_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[0] == v)
+        return self._out_degrees[v - 1]
 
     def in_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[1] == v)
+        return len(self._adj[v]) - self.out_degree(v)
 
     @cached_property
     def _out_degrees(self) -> tuple[int, ...]:

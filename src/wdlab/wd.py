@@ -209,6 +209,11 @@ def decompose_into_gamma_paths(
         raise ValueError("arc subset contains arcs outside the digraph")
     paths: list[GammaPath] = []
     entries = [a for a in remaining if isinstance(a[0], Star)]
+    # each sector root is entered by exactly one star arc and walked once,
+    # so its out-arcs can be looked up from the original subset
+    by_tail: dict[WVertex, list[WArc]] = {}
+    for a in remaining:
+        by_tail.setdefault(a[0], []).append(a)
     for entry in entries:
         root = entry[1]
         if not isinstance(root, SectorX) or root.x != root.arc[0]:
@@ -219,7 +224,7 @@ def decompose_into_gamma_paths(
         root = entry[1]
         assert isinstance(root, SectorX)
         arc = root.arc
-        hops = [a for a in remaining if a[0] == root]
+        hops = by_tail.get(root, [])
         if len(hops) != 1:
             return None
         edges = [entry, hops[0]]

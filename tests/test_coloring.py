@@ -222,6 +222,7 @@ class TestConjectureSweep:
         assert report.histogram == {0: 2, 1: 6}
         assert report.zero_count == 2
         assert additive_coefficient(report.witness) != 0
+        assert report.witness_coefficient == additive_coefficient(report.witness)
 
     def test_single_edge(self):
         report = conjecture_sweep(gen_complete(2))
@@ -234,12 +235,9 @@ class TestConjectureSweep:
         report = conjecture_sweep(gen_complete(3), limit=3)
         assert report.examined == 3
         assert sum(report.histogram.values()) == 3
-
-    def test_threads_do_not_change_report(self):
-        G = gen_cycle(4)
-        base = conjecture_sweep(G)
-        for threads in (2, 3):
-            assert conjecture_sweep(G, threads=threads) == base
+        empty = conjecture_sweep(gen_complete(3), limit=0)
+        assert empty.examined == 0 and not empty.has_witness
+        assert empty.witness is None and empty.witness_coefficient is None
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):

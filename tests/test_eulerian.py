@@ -102,10 +102,6 @@ class TestWdCounter:
     def test_arcless(self):
         assert count_ee_eo_wd(Orientation(4, frozenset())) == EulerianCount(1, 0)
 
-    def test_threads_do_not_change_result(self, d2):
-        for threads in (2, 3, 8):
-            assert count_ee_eo_wd(d2, threads=threads) == EulerianCount(2, 8)
-
     def test_oracle_equivalence_random(self, d1, d2, d3):
         rng = random.Random(37)
         digraphs = [d1, d2, d3] + [random_orientation(rng) for _ in range(40)]

@@ -102,6 +102,10 @@ class TestTypes:
         assert d1.out_degrees() == (2, 1, 1, 0)
         assert d1.in_degree(2) == 2
         assert d1.neighbors(2) == frozenset({1, 3, 4})
+        D = random_orientation(random.Random(11), n_min=6, n_max=9)
+        for v in D.vertices():
+            assert D.out_degree(v) == sum(1 for a in D.arcs if a[0] == v)
+            assert D.in_degree(v) == sum(1 for a in D.arcs if a[1] == v)
 
 
 class TestSymmetricDifference:
