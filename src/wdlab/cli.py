@@ -1,11 +1,12 @@
 """wd-lab: command-line front end.
 
 Exit codes: 0 on success, 1 when a computation's answer is "none" (no
-coloring, no witness, hypothesis false), 2 on bad input or an exceeded
-enumeration bound. All output is deterministic for a fixed input; big
-integers appear in JSON as decimal strings. The environment variable
-WD_LAB_BOUND overrides the default edge/arc enumeration bounds (20 for
-orientation sweeps, 24 for Eulerian brute force).
+coloring, no witness, hypothesis false), 2 on bad input, an exceeded
+enumeration bound, or a run that exhausts recursion depth or memory.
+All output is deterministic for a fixed input; big integers appear in
+JSON as decimal strings. The environment variable WD_LAB_BOUND overrides
+the default edge/arc enumeration bounds (20 for orientation sweeps, 24
+for Eulerian brute force).
 """
 
 from __future__ import annotations
@@ -282,6 +283,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (ParseError, BoundExceededError, ValueError) as exc:
         print(f"wd-lab: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("wd-lab: error: ran out of recursion depth (input too deep)", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("wd-lab: error: ran out of memory", file=sys.stderr)
         return 2
 
 

@@ -4,8 +4,9 @@ A labeling is an additive coloring when the neighbor-sums c(v) of the
 labels form a proper coloring. Certification routes: a nonzero additive
 coefficient guarantees a coloring exists inside any lists of size
 out-degree + 1; structural hypotheses (odd cycles covered by simplicial
-sinks, or a qualifying class of a 3-partition) force the odd Eulerian
-count of W(D) to zero, which makes the coefficient positive.
+sinks, or a qualifying class of a 3-partition, which is the same check
+with a non-empty sink class) force the odd Eulerian count of W(D) to
+zero, which makes the coefficient positive.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from .polynomials import additive_coefficient
 #: Largest product of list sizes the coloring search will walk.
 DEFAULT_COLORING_BOUND = 10_000_000
 
-#: Largest vertex count for the brute-force search over proper 3-partitions.
-TRIPARTITE_SEARCH_LIMIT = 12
-
 
 def induced_sums(G: Graph, ell: Mapping[int, int]) -> dict[int, int]:
     """Neighbor-sum c(v) for every vertex under the labeling."""
@@ -52,11 +50,12 @@ def _validated_lists(G: Graph, lists: Mapping[int, Sequence[int]]) -> list[list[
         raise ValueError("lists must cover exactly the vertices 1..n")
     out = []
     for v in G.vertices():
+        # type check first: set() and sorted() fail on unhashable or mixed values
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in lists[v]):
+            raise ValueError(f"list for vertex {v} must hold positive integers")
         values = sorted(set(lists[v]))
         if not values:
             raise ValueError(f"empty list for vertex {v}")
-        if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in values):
-            raise ValueError(f"list for vertex {v} must hold positive integers")
         out.append(values)
     return out
 
@@ -114,11 +113,6 @@ def _simplicial_sinks(G: Graph, D: Orientation) -> frozenset[int]:
     return frozenset(u for u in simplicial_vertices(G) if D.out_degree(u) == 0)
 
 
-def _qualifies(sinks: frozenset[int], cls: frozenset[int]) -> bool:
-    # vacuous empty classes do not witness the hypothesis
-    return bool(cls) and cls <= sinks
-
-
 def check_tripartite_hypothesis(
     G: Graph,
     D: Orientation,
@@ -128,8 +122,9 @@ def check_tripartite_hypothesis(
 
     With a supplied partition only that partition is examined; it must be
     a proper coloring with at most 3 classes covering 1..n. Without one,
-    all proper 3-colorings are searched (vertex count capped), still for
-    the fixed orientation D. A qualifying class must be non-empty.
+    the answer is the simplicial-sink check with a non-empty sink class,
+    still for the fixed orientation D; there is no vertex cap. Either way
+    a qualifying class must be non-empty.
     """
     _require_orients(G, D)
     sinks = _simplicial_sinks(G, D)
@@ -140,30 +135,13 @@ def check_tripartite_hypothesis(
             for u, v in G.edges:
                 if u in cls and v in cls:
                     raise ValueError(f"partition is not a proper coloring: edge ({u}, {v})")
-        return any(_qualifies(sinks, cls) for cls in partition.classes)
-
-    if G.n > TRIPARTITE_SEARCH_LIMIT:
-        raise BoundExceededError(
-            f"graph has {G.n} vertices, above the 3-partition search limit"
-            f" {TRIPARTITE_SEARCH_LIMIT}"
-        )
-    colors = [0] * (G.n + 1)
-
-    def assign(v: int) -> bool:
-        if v > G.n:
-            classes = [
-                frozenset(u for u in G.vertices() if colors[u] == c) for c in range(3)
-            ]
-            return any(_qualifies(sinks, cls) for cls in classes)
-        for c in range(3):
-            if any(colors[u] == c for u in G.neighbors(v) if u < v):
-                continue
-            colors[v] = c
-            if assign(v + 1):
-                return True
-        return False
-
-    return assign(1)
+        # vacuous empty classes do not witness the hypothesis
+        return any(cls and cls <= sinks for cls in partition.classes)
+    # No two sinks are adjacent, since every edge leaves one of its ends, so
+    # the sinks S form a class of their own. If some class C of sinks
+    # qualifies, G - C is bipartite, and so is its subgraph G - S: S itself
+    # qualifies whenever any class does.
+    return bool(sinks) and two_color(G, excluded=sinks) is not None
 
 
 @dataclass(frozen=True)
@@ -195,8 +173,11 @@ def conjecture_sweep(
 ) -> SweepReport:
     """Compute the additive coefficient of every orientation of G.
 
-    `limit` truncates the scan to the first orientations by index.
+    `limit` truncates the scan to the first orientations by index; it
+    must not be negative.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     total = 1 << len(G.edges)
     examined = total if limit is None else min(limit, total)
     histogram: dict[int, int] = {}

@@ -12,7 +12,9 @@ when the target is a neighbor of v but not w (direct), length 4 when the
 target is a neighbor of w but not of v or v itself (detour). The spanning
 Eulerian subdigraphs of W(D) are exactly the unions of edge-disjoint
 gamma-paths whose star in/out traffic balances, which is what makes the
-structured counters in `eulerian` possible.
+structured counters in `eulerian` possible. The same fact defines the
+digraph here: `gamma_paths_for_arc` is the one place that spells out a
+sector, and sectors, W(D) and the decomposition are read off its paths.
 """
 
 from __future__ import annotations
@@ -108,85 +110,72 @@ class GammaPath:
         return len(self.edges) % 2 == 1
 
 
+def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
+    """All gamma-paths of one sector, targets ascending.
+
+    The only place that spells out the shape of a sector: every path enters
+    at the root copy of v from v*, steps to the copy of its target x (through
+    y^{vw}_x for a detour target) and exits to x*. The sector's own source v
+    is never a target, though its copy is the root.
+    """
+    v, _ = arc
+    direct, detour = symmetric_difference_neighborhoods(D, *arc)
+    root = SectorX(arc, v)
+    entry = (Star(v), root)
+    paths = []
+    for x in sorted(direct | detour):
+        copy = SectorX(arc, x)
+        if x in direct:
+            edges = (entry, (root, copy), (copy, Star(x)))
+        else:
+            y = SectorY(arc, x)
+            edges = (entry, (root, y), (y, copy), (copy, Star(x)))
+        paths.append(GammaPath(arc, x, edges))
+    return paths
+
+
+def _sector(arc: tuple[int, int], paths: list[GammaPath]) -> Sector:
+    # the path to w always exists, so the root is the tail of some inner arc
+    arcs = frozenset(e for p in paths for e in p.edges[1:-1])
+    return Sector(arc, frozenset(u for e in arcs for u in e), arcs)
+
+
 def build_sector(D: Orientation, arc: tuple[int, int]) -> Sector:
-    """Fan subdigraph for one arc (v, w).
+    """Fan subdigraph for one arc (v, w): its gamma-paths without star arcs.
 
     Vertex copies exist for every member of N(v) symm-diff N(w); the copy
     of v is the root. Roots reach direct targets in one step and detour
     targets in two steps through a y-vertex.
     """
-    v, w = arc
-    direct, detour = symmetric_difference_neighborhoods(D, v, w)
-    vertices: set[WVertex] = {SectorX(arc, x) for x in direct | detour | {v}}
-    vertices |= {SectorY(arc, x) for x in detour}
-    root = SectorX(arc, v)
-    arcs: set[WArc] = set()
-    for x in direct:
-        arcs.add((root, SectorX(arc, x)))
-    for x in detour:
-        arcs.add((root, SectorY(arc, x)))
-        arcs.add((SectorY(arc, x), SectorX(arc, x)))
-    return Sector(arc, frozenset(vertices), frozenset(arcs))
+    return _sector(arc, gamma_paths_for_arc(D, arc))
 
 
 def build_wd(D: Orientation) -> WDigraph:
     """Assemble all sectors and stars into the full derived digraph.
 
-    Stars feed the root of every sector they name; every non-root vertex
-    copy x^{vw} exits to the star of x. Sectors of distinct arcs share no
-    vertices, so all structure shared between arcs goes through stars.
+    The arcs are the union of every gamma-path's edges: stars feed the root
+    of every sector they name, and every non-root vertex copy x^{vw} exits
+    to the star of x. Sectors of distinct arcs share no vertices, so all
+    structure shared between arcs goes through stars.
     """
-    sectors = tuple(build_sector(D, arc) for arc in D.sorted_arcs())
+    fans = [(arc, gamma_paths_for_arc(D, arc)) for arc in D.sorted_arcs()]
+    sectors = tuple(_sector(arc, paths) for arc, paths in fans)
     vertices: set[WVertex] = {Star(x) for x in D.vertices()}
-    arcs: set[WArc] = set()
     for sector in sectors:
-        v, _ = sector.arc
         vertices |= sector.vertices
-        arcs |= sector.arcs
-        arcs.add((Star(v), SectorX(sector.arc, v)))
-        for vert in sector.vertices:
-            if isinstance(vert, SectorX) and vert.x != v:
-                arcs.add((vert, Star(vert.x)))
-    return WDigraph(D, frozenset(vertices), frozenset(arcs), sectors)
-
-
-def gamma_targets(
-    D: Orientation, arc: tuple[int, int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Targets reachable through the sector of `arc`: (direct, detour).
-
-    The sector's own source vertex v is never a target even though its
-    copy sits in the sector, so the target set is the symmetric difference
-    minus {v}.
-    """
-    return symmetric_difference_neighborhoods(D, *arc)
+    arcs = frozenset(e for _, paths in fans for p in paths for e in p.edges)
+    return WDigraph(D, frozenset(vertices), arcs, sectors)
 
 
 def gamma_path(D: Orientation, arc: tuple[int, int], x: int) -> GammaPath:
     """The unique star-to-star path through the sector of `arc` ending at x."""
-    v, w = arc
-    direct, detour = gamma_targets(D, arc)
-    if x == v:
+    paths = gamma_paths_for_arc(D, arc)
+    if x == arc[0]:
         raise ValueError(f"target {x} is the sector source itself")
-    root = SectorX(arc, v)
-    if x in direct:
-        edges = ((Star(v), root), (root, SectorX(arc, x)), (SectorX(arc, x), Star(x)))
-    elif x in detour:
-        edges = (
-            (Star(v), root),
-            (root, SectorY(arc, x)),
-            (SectorY(arc, x), SectorX(arc, x)),
-            (SectorX(arc, x), Star(x)),
-        )
-    else:
-        raise ValueError(f"vertex {x} is not a target of the {v}>{w} sector")
-    return GammaPath(arc, x, edges)
-
-
-def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
-    """All gamma-paths of one sector, targets ascending."""
-    direct, detour = gamma_targets(D, arc)
-    return [gamma_path(D, arc, x) for x in sorted(direct | detour)]
+    for p in paths:
+        if p.target == x:
+            return p
+    raise ValueError(f"vertex {x} is not a target of the {arc[0]}>{arc[1]} sector")
 
 
 def all_gamma_paths(D: Orientation) -> list[GammaPath]:
@@ -199,51 +188,16 @@ def decompose_into_gamma_paths(
 ) -> Optional[list[GammaPath]]:
     """Split an arc subset of W(D) into edge-disjoint gamma-paths.
 
-    Peels one path per star-to-root entry edge, following the forced route
-    through the sector. Returns the paths (sorted by arc then target) when
-    they tile the subset exactly, None when any arc is left over or a
-    sector walk gets stuck; the decomposition is unique when it exists.
+    An exit arc x^{vw} -> x* lies on exactly one gamma-path, so the only
+    candidate split is the paths whose exit arc is in the subset. Returns
+    them (sorted by arc then target) when their edges, counted with
+    multiplicity, are exactly the subset, and None otherwise; the
+    decomposition is unique when it exists.
     """
-    remaining = set(arc_subset)
-    if not remaining <= wd.arcs:
+    if not arc_subset <= wd.arcs:
         raise ValueError("arc subset contains arcs outside the digraph")
-    paths: list[GammaPath] = []
-    entries = [a for a in remaining if isinstance(a[0], Star)]
-    # each sector root is entered by exactly one star arc and walked once,
-    # so its out-arcs can be looked up from the original subset
-    by_tail: dict[WVertex, list[WArc]] = {}
-    for a in remaining:
-        by_tail.setdefault(a[0], []).append(a)
-    for entry in entries:
-        root = entry[1]
-        if not isinstance(root, SectorX) or root.x != root.arc[0]:
-            return None
-    for entry in sorted(entries, key=warc_key):
-        if entry not in remaining:
-            return None
-        root = entry[1]
-        assert isinstance(root, SectorX)
-        arc = root.arc
-        hops = by_tail.get(root, [])
-        if len(hops) != 1:
-            return None
-        edges = [entry, hops[0]]
-        cur = hops[0][1]
-        if isinstance(cur, SectorY):
-            step = (cur, SectorX(arc, cur.x))
-            if step not in remaining:
-                return None
-            edges.append(step)
-            cur = step[1]
-        if not isinstance(cur, SectorX):
-            return None
-        exit_edge = (cur, Star(cur.x))
-        if exit_edge not in remaining:
-            return None
-        edges.append(exit_edge)
-        for e in edges:
-            remaining.discard(e)
-        paths.append(GammaPath(arc, cur.x, tuple(edges)))
-    if remaining:
+    paths = [p for p in all_gamma_paths(wd.source) if p.edges[-1] in arc_subset]
+    used = [e for p in paths for e in p.edges]
+    if len(used) != len(arc_subset) or set(used) != arc_subset:
         return None
-    return sorted(paths, key=lambda p: (p.arc, p.target))
+    return paths

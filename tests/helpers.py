@@ -150,3 +150,22 @@ def connected_graphs_up_to(n_max: int) -> list[Graph]:
             if key not in reps:
                 reps[key] = Graph.of(n, edges)
     return [reps[k] for k in sorted(reps)]
+
+
+def tripartite_by_search(G: Graph, D: Orientation) -> bool:
+    """Search every proper 3-coloring of G for a non-empty class made only
+    of simplicial vertices with out-degree 0 in D (exponential; n <= 8)."""
+    out_degree = Counter(v for v, _ in D.arcs)
+    sinks = {
+        v for v in G.vertices()
+        if out_degree[v] == 0
+        and all(G.has_edge(a, b) for a, b in itertools.combinations(sorted(G.neighbors(v)), 2))
+    }
+    for colors in itertools.product(range(3), repeat=G.n):
+        if any(colors[u - 1] == colors[v - 1] for u, v in G.edges):
+            continue
+        for c in range(3):
+            cls = {v for v in G.vertices() if colors[v - 1] == c}
+            if cls and cls <= sinks:
+                return True
+    return False

@@ -137,7 +137,15 @@ class TestColor:
     def test_bad_lists(self, capsys, tmp_path):
         path = tmp_path / "k2.g"
         path.write_text("2\n1 -- 2\n")
-        for bad in ("nope", "[1]", '{"1":[1]}', '{"1":[1],"2":[0]}', '{"1":[1],"x":[1]}'):
+        for bad in (
+            "nope",
+            "[1]",
+            '{"1":[1]}',
+            '{"1":[1],"2":[0]}',
+            '{"1":[1],"x":[1]}',
+            '{"1":[1,"a"],"2":[3]}',
+            '{"1":[[1]],"2":[3]}',
+        ):
             code, _, err = run(capsys, "color", str(path), "--lists", bad)
             assert code == 2 and err
 
@@ -155,6 +163,13 @@ class TestCheckHypothesis:
         assert code == 0 and out == "true\n"
         code, out, _ = run(capsys, "check-hypothesis", str(path), "--tripartite", "--json")
         assert code == 0 and out == '{"result":true}\n'
+
+    def test_tripartite_has_no_vertex_cap(self, capsys, tmp_path):
+        _, text, _ = run(capsys, "gen", "sun", "4")
+        path = tmp_path / "sun4.dg"
+        path.write_text(text)
+        code, out, _ = run(capsys, "check-hypothesis", str(path), "--tripartite")
+        assert code == 0 and out == "true\n"
 
     def test_k4_orientation_false(self, capsys, tmp_path):
         path = tmp_path / "k4.dg"
@@ -197,6 +212,8 @@ class TestSweep:
         path.write_text("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
         code, out, _ = run(capsys, "sweep", str(path), "--limit", "2", "--json")
         assert json.loads(out)["examined"] == 2
+        code, out, err = run(capsys, "sweep", str(path), "--limit", "-5", "--json")
+        assert code == 2 and out == "" and "limit" in err
 
     def test_env_bound(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "c4.g"
@@ -247,6 +264,22 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_recursion_exhausted_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "path1200.dg"
+        path.write_text("1200\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1, 1200)))
+        code, out, err = run(capsys, "count", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("wd-lab: error:") and "recursion" in err
+
+    def test_memory_exhausted_exits_2(self, capsys, d1_file, monkeypatch):
+        def exhausted(D):
+            raise MemoryError
+
+        monkeypatch.setattr("wdlab.cli.count_ee_eo_wd", exhausted)
+        code, out, err = run(capsys, "count", d1_file)
+        assert code == 2 and out == ""
+        assert err.startswith("wd-lab: error:") and "memory" in err
 
     @pytest.mark.parametrize(
         "command, text, threads",

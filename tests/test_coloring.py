@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import odd_cycle_vertex_sets, path_graph, random_graph
+from helpers import odd_cycle_vertex_sets, path_graph, random_graph, tripartite_by_search
 from wdlab import (
     BoundExceededError,
     Graph,
@@ -93,6 +93,8 @@ class TestFindAdditiveColoring:
             find_additive_coloring(G, {1: [1], 2: []})
         with pytest.raises(ValueError):
             find_additive_coloring(G, {1: [1], 2: [0]})
+        with pytest.raises(ValueError):
+            find_additive_coloring(G, {1: [1, "a"], 2: [3]})
         with pytest.raises(ValueError):
             find_additive_coloring(G, {1: [1], 2: [1], 3: [1]})
 
@@ -198,11 +200,22 @@ class TestTripartiteHypothesis:
         with pytest.raises(ValueError):
             check_tripartite_hypothesis(G, D, not_covering)
 
-    def test_search_limit(self):
+    def test_no_vertex_cap(self):
         G = Graph.of(13, [])
-        D = Orientation(13, frozenset())
-        with pytest.raises(BoundExceededError):
-            check_tripartite_hypothesis(G, D)
+        assert check_tripartite_hypothesis(G, Orientation(13, frozenset()))
+        D = gen_sun(4)
+        assert D.n == 16
+        assert check_tripartite_hypothesis(D.underlying(), D)
+
+    def test_matches_search_oracle(self):
+        rng = random.Random(103)
+        answers = []
+        for _ in range(150):
+            G = random_graph(rng, rng.randint(1, 7), p=rng.choice((0.3, 0.5)))
+            D = next(enumerate_orientations(G, start=rng.randrange(1 << len(G.edges))))
+            answers.append(check_tripartite_hypothesis(G, D))
+            assert answers[-1] == tripartite_by_search(G, D)
+        assert 0 < sum(answers) < len(answers)
 
 
 class TestBipartiteMechanism:
@@ -238,6 +251,8 @@ class TestConjectureSweep:
         empty = conjecture_sweep(gen_complete(3), limit=0)
         assert empty.examined == 0 and not empty.has_witness
         assert empty.witness is None and empty.witness_coefficient is None
+        with pytest.raises(ValueError, match="non-negative"):
+            conjecture_sweep(gen_complete(3), limit=-5)
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):

@@ -276,6 +276,24 @@ class TestDecompose:
         out = decompose_into_gamma_paths(wd, frozenset(p.edges) | frozenset(q.edges))
         assert out == sorted([p, q], key=lambda g: (g.arc, g.target))
 
+    def test_two_paths_of_one_sector_fail(self, d1):
+        # both paths use the sector's star entry edge, so they are not disjoint
+        wd = build_wd(d1)
+        p = gamma_path(d1, (1, 2), 2)
+        q = gamma_path(d1, (1, 2), 4)
+        union = frozenset(p.edges) | frozenset(q.edges)
+        assert decompose_into_gamma_paths(wd, union) is None
+        # one orphan arc makes the edge count match; the arc sets still differ
+        orphan = (SectorX((2, 4), 2), SectorX((2, 4), 1))
+        assert len(union | {orphan}) == p.length + q.length
+        assert decompose_into_gamma_paths(wd, union | {orphan}) is None
+
+    def test_lone_exit_arc_fails(self, d1):
+        wd = build_wd(d1)
+        exit_arc = gamma_path(d1, (1, 2), 4).edges[-1]
+        assert exit_arc == (SectorX((1, 2), 4), Star(4))
+        assert decompose_into_gamma_paths(wd, frozenset({exit_arc})) is None
+
     def test_partial_path_fails(self, d1):
         wd = build_wd(d1)
         p = gamma_path(d1, (1, 2), 4)
