@@ -121,22 +121,31 @@ def _cmd_coefficient(args) -> int:
     return 0
 
 
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, in order and with repeats."""
+
+
 def _cmd_color(args) -> int:
     G = _load_graph(args.file)
     try:
-        raw = json.loads(args.lists)
+        # pairs, not a dict: a dict would keep only the last of two equal keys
+        raw = json.loads(args.lists, object_pairs_hook=_Pairs)
     except json.JSONDecodeError as exc:
         raise ParseError(f"--lists is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
+    if not isinstance(raw, _Pairs):
         raise ParseError("--lists must be a JSON object mapping vertex to list")
     lists = {}
-    for key, values in raw.items():
+    keys: dict[int, str] = {}
+    for key, values in raw:
         try:
             v = int(key)
         except ValueError:
             raise ParseError(f"list key {key!r} is not a vertex id")
-        if not isinstance(values, list):
+        if v in keys:
+            raise ParseError(f"list keys {keys[v]!r} and {key!r} both name vertex {v}")
+        if type(values) is not list:  # a nested object is a _Pairs
             raise ParseError(f"list for vertex {key} must be a JSON array")
+        keys[v] = key
         lists[v] = values
     try:
         ell = find_additive_coloring(G, lists)

@@ -361,6 +361,18 @@ def orientation_from_index(G: Graph, index: int) -> Orientation:
     return Orientation(G.n, frozenset(arcs))
 
 
+def orientation_count(G: Graph, bound: Optional[int] = None) -> int:
+    """Number of orientations of G, 2^m; raises past the edge bound."""
+    limit = DEFAULT_ORIENTATION_BOUND if bound is None else bound
+    m = len(G.edges)
+    if m > limit:
+        raise BoundExceededError(
+            f"graph has {m} edges, above the orientation bound {limit}"
+            " (raise WD_LAB_BOUND or the bound argument)"
+        )
+    return 1 << m
+
+
 def enumerate_orientations(
     G: Graph,
     bound: Optional[int] = None,
@@ -372,14 +384,7 @@ def enumerate_orientations(
     `start`/`stop` restrict to an index range so sweeps can be split
     across workers without changing the overall result.
     """
-    limit = DEFAULT_ORIENTATION_BOUND if bound is None else bound
-    m = len(G.edges)
-    if m > limit:
-        raise BoundExceededError(
-            f"graph has {m} edges, above the orientation bound {limit}"
-            " (raise WD_LAB_BOUND or the bound argument)"
-        )
-    total = 1 << m
+    total = orientation_count(G, bound)
     hi = total if stop is None else min(stop, total)
     for index in range(start, hi):
         yield orientation_from_index(G, index)

@@ -11,7 +11,13 @@ import itertools
 import random
 from collections import Counter
 
-from wdlab import Graph, Orientation
+from wdlab import (
+    Graph,
+    Orientation,
+    SweepReport,
+    additive_coefficient,
+    enumerate_orientations,
+)
 
 
 def is_balanced(arcs) -> bool:
@@ -169,3 +175,34 @@ def tripartite_by_search(G: Graph, D: Orientation) -> bool:
             if cls and cls <= sinks:
                 return True
     return False
+
+
+def sweep_by_orientation(G: Graph, bound=None, limit=None) -> SweepReport:
+    """The orientation sweep as one `additive_coefficient` call per
+    orientation, in index order (no shared expansion, no sign rule)."""
+    total = 1 << len(G.edges)
+    examined = total if limit is None else min(limit, total)
+    histogram = {}
+    witness = None
+    for index, D in enumerate(enumerate_orientations(G, bound=bound, stop=examined)):
+        coef = additive_coefficient(D)
+        histogram[coef] = histogram.get(coef, 0) + 1
+        if coef != 0 and witness is None:
+            witness = (index, D, coef)
+    index, D, coef = witness or (None, None, None)
+    return SweepReport(
+        examined=examined,
+        histogram=dict(sorted(histogram.items())),
+        zero_count=histogram.get(0, 0),
+        witness_index=index,
+        witness=D,
+        witness_coefficient=coef,
+    )
+
+
+def caterpillar(spine: int, rng: random.Random) -> Orientation:
+    """Path 1..spine with one leaf spine+i hung on each spine vertex i,
+    every edge oriented by a coin flip, path edges first."""
+    edges = [(i, i + 1) for i in range(1, spine)] + [(i, spine + i) for i in range(1, spine + 1)]
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    return Orientation(2 * spine, frozenset(arcs))

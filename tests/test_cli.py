@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,17 @@ class TestCoefficient:
         code, out, _ = run(capsys, "coefficient", d1_file, "--classic")
         assert code == 0 and out == "1\n"
 
+    def test_long_directed_path(self, capsys, tmp_path):
+        # the full capped expansion of this product never finished
+        path = tmp_path / "path1200.dg"
+        path.write_text("1200\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1, 1200)))
+        start = time.monotonic()
+        code, out, _ = run(capsys, "coefficient", str(path))
+        assert code == 0 and int(out) > 0
+        code, out, _ = run(capsys, "coefficient", str(path), "--classic")
+        assert code == 0 and out == "1\n"
+        assert time.monotonic() - start < 60
+
 
 class TestBuildWd:
     def test_text_output(self, capsys, d1_file):
@@ -145,9 +157,26 @@ class TestColor:
             '{"1":[1],"x":[1]}',
             '{"1":[1,"a"],"2":[3]}',
             '{"1":[[1]],"2":[3]}',
+            '{"1":{"1":1},"2":[3]}',
         ):
             code, _, err = run(capsys, "color", str(path), "--lists", bad)
             assert code == 2 and err
+
+    def test_keys_naming_one_vertex(self, capsys, tmp_path):
+        # the later list used to replace the earlier one, answering "none"
+        path = tmp_path / "k3.g"
+        path.write_text("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
+        for lists, keys in (
+            ('{"1":[1],"2":[2],"3":[3],"03":[1]}', "'3' and '03'"),
+            ('{"1":[1],"2":[2],"3":[3]," 3":[1]}', "'3' and ' 3'"),
+            ('{"1":[1],"2":[2],"3":[3],"3":[1]}', "'3' and '3'"),
+        ):
+            code, out, err = run(capsys, "color", str(path), "--lists", lists)
+            assert code == 2 and out == ""
+            assert f"list keys {keys} both name vertex 3" in err
+        # a padded key naming a vertex once is still accepted
+        code, out, _ = run(capsys, "color", str(path), "--lists", '{"01":[1],"2":[2],"3":[3]}')
+        assert code == 0 and out == '{"1":1,"2":2,"3":3}\n'
 
     def test_orientation_input_rejected(self, capsys, d1_file):
         code, _, err = run(capsys, "color", d1_file, "--lists", "{}")

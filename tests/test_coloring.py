@@ -2,10 +2,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import odd_cycle_vertex_sets, path_graph, random_graph, tripartite_by_search
+from helpers import (
+    is_connected,
+    odd_cycle_vertex_sets,
+    path_graph,
+    random_graph,
+    sweep_by_orientation,
+    tripartite_by_search,
+)
 from wdlab import (
     BoundExceededError,
     Graph,
@@ -257,3 +265,46 @@ class TestConjectureSweep:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             conjecture_sweep(gen_complete(7))
+        with pytest.raises(BoundExceededError):
+            conjecture_sweep(gen_complete(7), limit=0)
+        with pytest.raises(BoundExceededError):
+            conjecture_sweep(gen_complete(3), bound=2, limit=0)
+
+    @staticmethod
+    def assert_same_report(report, oracle):
+        assert report.examined == oracle.examined
+        assert report.histogram == oracle.histogram
+        assert list(report.histogram) == list(oracle.histogram)
+        assert report.zero_count == oracle.zero_count
+        assert report.witness_index == oracle.witness_index
+        assert report.witness == oracle.witness
+        assert report.witness_coefficient == oracle.witness_coefficient
+
+    def test_matches_per_orientation_oracle(self):
+        rng = random.Random(89)
+        checked = 0
+        while checked < 25:
+            n = rng.randint(1, 6)
+            G = random_graph(rng, n, p=0.4)
+            if not is_connected(n, G.edges) or len(G.edges) > 8:
+                continue
+            checked += 1
+            self.assert_same_report(conjecture_sweep(G), sweep_by_orientation(G))
+
+    @pytest.mark.parametrize("G", [gen_cycle(5), gen_complete_bipartite(2, 2)], ids=["c5", "k22"])
+    def test_every_limit_matches_oracle(self, G):
+        for limit in range((1 << len(G.edges)) + 1):
+            self.assert_same_report(
+                conjecture_sweep(G, limit=limit), sweep_by_orientation(G, limit=limit))
+
+    def test_k34(self):
+        # 13 s with one expansion per orientation
+        G = gen_complete_bipartite(3, 4)
+        start = time.monotonic()
+        report = conjecture_sweep(G)
+        assert time.monotonic() - start < 10
+        assert report.examined == 4096
+        assert sum(report.histogram.values()) == 4096
+        assert report.zero_count == 0
+        assert report.witness_index == 0
+        assert report.witness_coefficient == additive_coefficient(report.witness)

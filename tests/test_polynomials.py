@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import random_lists, random_orientation
+from helpers import caterpillar, random_lists, random_orientation
 from wdlab import (
     LinearFactor,
     Orientation,
@@ -16,12 +17,14 @@ from wdlab import (
     classical_factors,
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
+    count_ee_eo_wd,
     evaluate_additive,
     expand_capped,
     expand_full,
     find_additive_coloring,
     is_additive_coloring,
 )
+from wdlab.polynomials import cap_coefficient
 
 
 def F(*terms) -> LinearFactor:
@@ -101,6 +104,69 @@ class TestExpand:
             assert all(
                 all(e <= c for e, c in zip(exp, cap)) for exp in capped.terms
             )
+
+
+class TestCapCoefficient:
+    def test_matches_expand_capped_random(self):
+        rng = random.Random(79)
+        nonzero = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = rng.randint(0, 7)
+            # variables above `used` sit in no factor at all
+            used = rng.randint(1, n)
+            factors = []
+            for _ in range(m):
+                ids = rng.sample(range(1, used + 1), rng.randint(1, min(used, 3)))
+                factors.append(F(*((rng.choice((1, -1)), u) for u in ids)))
+            if rng.random() < 0.5:
+                # a cap that sums to m, so the cap term can be nonzero
+                cap = [0] * n
+                for _ in range(m):
+                    cap[rng.randrange(n)] += 1
+            else:
+                cap = [rng.choice((0, 0, 1, 2, m)) for _ in range(n)]
+            cap = tuple(cap)
+            want = expand_capped(factors, cap).coefficient(cap)
+            shuffled = factors[:]
+            rng.shuffle(shuffled)
+            assert cap_coefficient(factors, cap) == want
+            assert cap_coefficient(shuffled, cap) == want
+            nonzero += want != 0
+        assert nonzero > 30
+
+    def test_zero_cap_and_unused_variables(self):
+        factors = [F((1, 1), (-1, 2)), F((1, 1), (1, 2))]
+        assert cap_coefficient(factors, (2, 0, 0)) == 1
+        assert cap_coefficient(factors, (0, 2, 0)) == -1
+        assert cap_coefficient(factors, (1, 1, 0)) == 0
+        # x3 is in no factor, so a positive cap on it can never be met
+        assert cap_coefficient(factors, (1, 0, 1)) == 0
+        assert cap_coefficient([], (0, 0)) == 1
+        assert cap_coefficient([], (1, 0)) == 0
+        assert cap_coefficient([F()], (0,)) == 0
+
+    def test_caterpillar40_pinned(self):
+        # the limits probe's caterpillar40: the full expansion runs out of memory
+        D = caterpillar(20, random.Random("limits:caterpillar40"))
+        start = time.monotonic()
+        assert additive_coefficient(D) == 46992193506
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("spine", [4, 5, 6, 7])
+    def test_caterpillars_match_wd_counter(self, spine):
+        for seed in range(3):
+            D = caterpillar(spine, random.Random(seed))
+            assert additive_coefficient(D) == count_ee_eo_wd(D).difference
+
+    def test_path200_matches_wd_counter(self):
+        rng = random.Random(83)
+        for D in (
+            Orientation(200, frozenset((i, i + 1) for i in range(1, 200))),
+            Orientation(200, frozenset(
+                (i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(1, 200))),
+        ):
+            assert additive_coefficient(D) == count_ee_eo_wd(D).difference
 
 
 class TestCoefficients:
