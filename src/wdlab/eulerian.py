@@ -5,7 +5,11 @@ out-degree within the subset; the empty subset always qualifies and counts
 as even. Two independent routes are provided: a generic pruned
 include/exclude enumeration that works on any digraph, and a structured
 counter for W(D) that walks gamma-path choices per arc of D instead of raw
-arc subsets. Tests hold the two routes to exact agreement.
+arc subsets. The latter keeps one level of star-balance states at a time,
+takes the arcs in frontier order and prunes each state on the stars the
+current arc touches (see `count_ee_eo_wd`). Tests hold the two routes to
+exact agreement, and the W(D) counter to the coefficient route of
+`polynomials`, which it does not share code with.
 
 All counts are exact Python integers; nothing here can overflow.
 """
@@ -21,6 +25,8 @@ from .graphs import Orientation, symmetric_difference_neighborhoods
 
 #: Largest arc count for which subset enumeration is allowed by default.
 DEFAULT_EULERIAN_BOUND = 24
+#: Most balance states one level of the W(D) counter may hold by default.
+DEFAULT_WD_STATE_BOUND = 1_200_000
 
 Arc = tuple[Hashable, Hashable]
 
@@ -125,84 +131,101 @@ def count_ee_eo_classic(D: Orientation, bound: Optional[int] = None) -> Eulerian
 # Structured counter for W(D)
 # ---------------------------------------------------------------------------
 
-class _WdChoices:
-    """Per-arc gamma-path choices of W(D) plus suffix capacity tables."""
+def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(tail, direct targets, detour targets) per arc of D, in frontier order.
 
-    def __init__(self, D: Orientation):
-        self.n = D.n
-        self.arcs = D.sorted_arcs()
-        self.direct: list[tuple[int, ...]] = []
-        self.detour: list[tuple[int, ...]] = []
-        for v, w in self.arcs:
-            d, t = symmetric_difference_neighborhoods(D, v, w)
-            self.direct.append(tuple(sorted(d)))
-            self.detour.append(tuple(sorted(t)))
-        m = len(self.arcs)
-        zero = (0,) * (self.n + 1)
-        self.rem_out: list[tuple[int, ...]] = [zero] * (m + 1)
-        self.rem_in: list[tuple[int, ...]] = [zero] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            ro = list(self.rem_out[i + 1])
-            ri = list(self.rem_in[i + 1])
-            ro[self.arcs[i][0]] += 1
-            for x in self.direct[i] + self.detour[i]:
-                ri[x] += 1
-            self.rem_out[i] = tuple(ro)
-            self.rem_in[i] = tuple(ri)
-
-    def count_from(self, i: int, bal: tuple[int, ...], memo: dict) -> tuple[int, int]:
-        """(even, odd) completions of a partial selection with star balances `bal`.
-
-        bal[z-1] is the number of chosen paths leaving star z minus those
-        entering it. A selection is accepted only if all balances close to
-        zero; parity tracks the number of chosen length-3 paths.
-        """
-        key = (i, bal)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ro, ri = self.rem_out[i], self.rem_in[i]
-        for z in range(1, self.n + 1):
-            b = bal[z - 1]
-            if b > ri[z] or -b > ro[z]:
-                memo[key] = (0, 0)
-                return 0, 0
-        if i == len(self.arcs):
-            memo[key] = (1, 0)
-            return 1, 0
-        v = self.arcs[i][0]
-        even, odd = self.count_from(i + 1, bal, memo)
-        work = list(bal)
-        for x in self.direct[i]:
-            work[v - 1] += 1
-            work[x - 1] -= 1
-            sub_even, sub_odd = self.count_from(i + 1, tuple(work), memo)
-            even += sub_odd  # a direct path has 3 arcs: parity flips
-            odd += sub_even
-            work[v - 1] -= 1
-            work[x - 1] += 1
-        for x in self.detour[i]:
-            work[v - 1] += 1
-            work[x - 1] -= 1
-            sub_even, sub_odd = self.count_from(i + 1, tuple(work), memo)
-            even += sub_even  # a detour path has 4 arcs: parity kept
-            odd += sub_odd
-            work[v - 1] -= 1
-            work[x - 1] += 1
-        memo[key] = (even, odd)
-        return even, odd
+    Arcs are sorted by the largest star they touch (their tail or a
+    target), then by their number of targets, so that every star's
+    remaining capacity runs out early and pins its balance to zero.
+    """
+    plan = []
+    for v, w in D.sorted_arcs():
+        direct, detour = symmetric_difference_neighborhoods(D, v, w)
+        plan.append((v, tuple(sorted(direct)), tuple(sorted(detour))))
+    return sorted(plan, key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
 
 
-def count_ee_eo_wd(D: Orientation) -> EulerianCount:
+def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
     """Even/odd Eulerian counts of W(D) without materializing W(D).
 
-    Walks the arcs of D in sorted order, choosing per arc either no path
-    or one gamma-path target, with memoization on (arc index, star
-    balances). Edge-disjointness of distinct-arc gamma-paths makes the
-    choice space exact, and star balance is the only Eulerian constraint
-    left to track.
+    Chooses per arc of D either no gamma-path or one gamma-path target;
+    edge-disjointness of distinct-arc gamma-paths makes this choice space
+    exact, and star balance is the only Eulerian constraint left. The
+    balance of star z is the number of chosen paths leaving z* minus those
+    entering it, and a selection is Eulerian when every balance is zero.
+
+    The arcs are taken in the order of `_wd_arc_plan`, one level at a time
+    (frontier-based search; Kawahara et al., IEICE 2017): a level maps each
+    star-balance tuple reached so far to its (even, odd) selection counts,
+    where parity counts the chosen direct (3-arc) paths; detours have 4
+    arcs. After each arc, a state survives only if the stars the arc
+    touches can still close to zero with the arcs left: -out <= balance <=
+    in, counting the remaining paths out of and into each star. Once a
+    star's last arc is past, its balance is pinned to zero, so the live
+    states grow with the width of the frontier; on a directed path of 1200
+    vertices a level never holds more than 3. Only the current level is
+    kept, and the answer is the all-zero state after the last arc.
+
+    Raises BoundExceededError once one level holds more than `bound`
+    states (default DEFAULT_WD_STATE_BOUND).
     """
-    even, odd = _WdChoices(D).count_from(0, (0,) * D.n, {})
+    limit = DEFAULT_WD_STATE_BOUND if bound is None else bound
+    plan = _wd_arc_plan(D)
+    rem_out = [0] * (D.n + 1)
+    rem_in = [0] * (D.n + 1)
+    for v, direct, detour in plan:
+        rem_out[v] += 1
+        for x in direct + detour:
+            rem_in[x] += 1
+    zero = (0,) * D.n
+    level: dict[tuple[int, ...], list[int]] = {zero: [1, 0]}
+    for v, direct, detour in plan:
+        rem_out[v] -= 1
+        for x in direct + detour:
+            rem_in[x] -= 1
+        # Every state was feasible before this arc, and the arc lowers only
+        # v's out-capacity and each target's in-capacity by one. So v stays
+        # feasible unless it sits at the new lower end minus one, where only
+        # taking a path (v + 1) saves it; a target stays feasible unless it
+        # sits at its new upper end plus one, where only choosing it saves it.
+        iv, v_low, v_high = v - 1, -rem_out[v], rem_in[v]
+        choices = [(x - 1, -rem_out[x], rem_in[x], True) for x in direct]
+        choices += [(x - 1, -rem_out[x], rem_in[x], False) for x in detour]
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for bal, (even, odd) in level.items():
+            over = [c for c in choices if bal[c[0]] > c[2]]  # targets that must be chosen
+            if len(over) > 1:
+                continue
+            if not over and bal[iv] >= v_low:
+                slot = nxt.get(bal)
+                if slot is None:
+                    nxt[bal] = [even, odd]
+                else:
+                    slot[0] += even
+                    slot[1] += odd
+            if bal[iv] < v_high:
+                work = list(bal)
+                work[iv] += 1
+                for ix, x_low, _, flips in over or choices:
+                    if bal[ix] <= x_low:
+                        continue
+                    work[ix] -= 1
+                    key = tuple(work)
+                    work[ix] += 1
+                    sub_even, sub_odd = (odd, even) if flips else (even, odd)
+                    slot = nxt.get(key)
+                    if slot is None:
+                        nxt[key] = [sub_even, sub_odd]
+                    else:
+                        slot[0] += sub_even
+                        slot[1] += sub_odd
+            if len(nxt) > limit:
+                raise BoundExceededError(
+                    f"a W(D) level reached {len(nxt)} balance states,"
+                    f" above the state bound {limit} (raise the bound argument)"
+                )
+        level = nxt
+    even, odd = level.get(zero, (0, 0))
     return EulerianCount(even, odd)
 
 

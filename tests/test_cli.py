@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wdlab import Graph, Orientation, parse, to_text
+from wdlab import Graph, Orientation, additive_coefficient, parse, to_text
 from wdlab.cli import main
 
 D1_TEXT = "4\n1 -> 2\n1 -> 3\n2 -> 4\n3 -> 2\n"
@@ -73,6 +73,20 @@ class TestCount:
         code, out, _ = run(capsys, "count", str(path), "--json")
         assert code == 0
         assert json.loads(out) == {"ee": "1", "eo": "0", "difference": "1"}
+
+    def test_long_directed_path(self, capsys, tmp_path):
+        path = tmp_path / "path1200.dg"
+        path.write_text("1200\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1, 1200)))
+        code, out, _ = run(capsys, "count", str(path), "--json")
+        assert code == 0
+        count = json.loads(out)
+        assert int(count["ee"]) - int(count["eo"]) == additive_coefficient(parse(path.read_text()))
+
+    def test_wd_state_bound_exits_2(self, capsys, d2_file, monkeypatch):
+        monkeypatch.setattr("wdlab.eulerian.DEFAULT_WD_STATE_BOUND", 1)
+        code, out, err = run(capsys, "count", d2_file)
+        assert code == 2 and out == ""
+        assert err.startswith("wd-lab: error:") and "state bound 1" in err
 
     def test_graph_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "c4.g"
@@ -294,10 +308,12 @@ class TestErrors:
             main(["frobnicate"])
         assert info.value.code == 2
 
-    def test_recursion_exhausted_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "path1200.dg"
-        path.write_text("1200\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1, 1200)))
-        code, out, err = run(capsys, "count", str(path))
+    def test_recursion_exhausted_exits_2(self, capsys, d1_file, monkeypatch):
+        def exhausted(D):
+            raise RecursionError
+
+        monkeypatch.setattr("wdlab.cli.count_ee_eo_wd", exhausted)
+        code, out, err = run(capsys, "count", d1_file)
         assert code == 2 and out == ""
         assert err.startswith("wd-lab: error:") and "recursion" in err
 

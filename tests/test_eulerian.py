@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import is_acyclic, is_balanced, naive_ee_eo, random_orientation
+from helpers import caterpillar, is_acyclic, is_balanced, naive_ee_eo, random_orientation
 from wdlab import (
     BoundExceededError,
     EulerianCount,
     Orientation,
     Star,
+    additive_coefficient,
     build_wd,
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
@@ -117,6 +119,43 @@ class TestWdCounter:
             assert count.ee >= 1
             if is_acyclic(build_wd(D).arcs):
                 assert count.eo == 0
+
+
+    def test_relabeling_invariance(self):
+        # relabeling the vertices reorders the arcs the counter walks
+        rng = random.Random(53)
+        for _ in range(30):
+            D = random_orientation(rng, n_min=3, n_max=8)
+            perm = dict(zip(range(1, D.n + 1), rng.sample(range(1, D.n + 1), D.n)))
+            relabeled = Orientation(D.n, frozenset((perm[v], perm[w]) for v, w in D.arcs))
+            assert count_ee_eo_wd(relabeled) == count_ee_eo_wd(D)
+
+    def test_caterpillar40_pinned(self):
+        D = caterpillar(20, random.Random("limits:caterpillar40"))
+        assert count_ee_eo_wd(D).difference == 46992193506
+
+    def test_path1200_matches_coefficient(self):
+        D = Orientation(1200, frozenset((i, i + 1) for i in range(1, 1200)))
+        count = count_ee_eo_wd(D)
+        assert count.eo == 0
+        assert count.difference == additive_coefficient(D)
+
+    def test_dense_g14_matches_coefficient(self):
+        rng = random.Random("wd:g14:a")
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(1, 15) for v in range(u + 1, 15) if rng.random() < 0.3]
+        D = Orientation(14, frozenset(arcs))
+        start = time.monotonic()
+        assert count_ee_eo_wd(D).difference == additive_coefficient(D)
+        assert time.monotonic() - start < 30
+
+    def test_state_bound(self, d2):
+        with pytest.raises(BoundExceededError, match=r"reached 2 balance states.*state bound 1 "):
+            count_ee_eo_wd(d2, bound=1)
+        # d2's largest level holds 6 states
+        with pytest.raises(BoundExceededError, match="state bound 5 "):
+            count_ee_eo_wd(d2, bound=5)
+        assert count_ee_eo_wd(d2, bound=6) == EulerianCount(2, 8)
 
 
 class TestEulerianPathStructure:
