@@ -22,20 +22,16 @@ from .eulerian import (
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    count_orientations_same_outdeg,
-    count_orientations_same_outdeg_direct,
     enumerate_eulerian_spanning,
 )
 from .graphs import (
     Graph,
     Orientation,
     VertexPartition,
-    enumerate_orientations,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
     gen_sun,
-    is_bipartite,
     orientation_from_index,
     parse,
     simplicial_vertices,
@@ -49,22 +45,17 @@ from .polynomials import (
     additive_factors,
     classical_coefficient,
     classical_factors,
-    evaluate_additive,
     expand_capped,
-    expand_full,
 )
 from .wd import (
     GammaPath,
-    Sector,
     SectorX,
     SectorY,
     Star,
     WDigraph,
     all_gamma_paths,
-    build_sector,
     build_wd,
     decompose_into_gamma_paths,
-    gamma_path,
     gamma_paths_for_arc,
 )
 
@@ -79,7 +70,6 @@ __all__ = [
     "LinearFactor",
     "Orientation",
     "ParseError",
-    "Sector",
     "SectorX",
     "SectorY",
     "Star",
@@ -89,7 +79,6 @@ __all__ = [
     "additive_coefficient",
     "additive_factors",
     "all_gamma_paths",
-    "build_sector",
     "build_wd",
     "check_simplicial_sink_hypothesis",
     "check_tripartite_hypothesis",
@@ -99,16 +88,10 @@ __all__ = [
     "count_ee_eo_bruteforce",
     "count_ee_eo_classic",
     "count_ee_eo_wd",
-    "count_orientations_same_outdeg",
-    "count_orientations_same_outdeg_direct",
     "decompose_into_gamma_paths",
     "enumerate_eulerian_spanning",
-    "enumerate_orientations",
-    "evaluate_additive",
     "expand_capped",
-    "expand_full",
     "find_additive_coloring",
-    "gamma_path",
     "gamma_paths_for_arc",
     "gen_complete",
     "gen_complete_bipartite",
@@ -116,7 +99,6 @@ __all__ = [
     "gen_sun",
     "induced_sums",
     "is_additive_coloring",
-    "is_bipartite",
     "orientation_from_index",
     "parse",
     "simplicial_vertices",

@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 when a computation's answer is "none" (no
 coloring, no witness, hypothesis false), 2 on bad input, an exceeded
 enumeration bound, or a run that exhausts recursion depth or memory.
 All output is deterministic for a fixed input; big integers appear in
-JSON as decimal strings. The environment variable WD_LAB_BOUND overrides
-the default edge/arc enumeration bounds (20 for orientation sweeps, 24
-for Eulerian brute force).
+JSON as decimal strings. The environment variable WD_LAB_BOUND, a
+non-negative integer in ASCII digits, overrides the default edge/arc
+enumeration bounds (20 for orientation sweeps, 24 for Eulerian brute
+force).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graphs import (
     gen_cycle,
     gen_sun,
     parse,
+    strict_int,
     to_text,
 )
 from .polynomials import additive_coefficient, classical_coefficient
@@ -48,9 +50,12 @@ def _env_bound() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        bound = strict_int(raw)
+        if bound >= 0:
+            return bound
     except ValueError:
-        raise ParseError(f"WD_LAB_BOUND must be an integer, got {raw!r}")
+        pass
+    raise ParseError(f"WD_LAB_BOUND must be a non-negative integer, got {raw!r}")
 
 
 def _load(path: str) -> Graph | Orientation:
@@ -81,7 +86,7 @@ def _load_graph(path: str) -> Graph:
 def _cmd_build_wd(args) -> int:
     D = _load_orientation(args.file)
     wd = build_wd(D)
-    summary = {"vertices": len(wd.vertices), "arcs": len(wd.arcs), "sectors": len(wd.sectors)}
+    summary = {"vertices": len(wd.vertices), "arcs": len(wd.arcs), "sectors": len(D.arcs)}
     if args.json:
         print(_dump(summary))
         return 0
@@ -138,7 +143,7 @@ def _cmd_color(args) -> int:
     keys: dict[int, str] = {}
     for key, values in raw:
         try:
-            v = int(key)
+            v = strict_int(key)
         except ValueError:
             raise ParseError(f"list key {key!r} is not a vertex id")
         if v in keys:

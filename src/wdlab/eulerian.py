@@ -227,59 +227,3 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
         level = nxt
     even, odd = level.get(zero, (0, 0))
     return EulerianCount(even, odd)
-
-
-# ---------------------------------------------------------------------------
-# Orientation counting
-# ---------------------------------------------------------------------------
-
-def count_orientations_same_outdeg(H, bound: Optional[int] = None) -> int:
-    """Orientations of the underlying graph matching H's out-degrees.
-
-    Computed as ee + eo of H: reversing the arcs of a balanced subset is a
-    bijection between such orientations and spanning Eulerian subdigraphs.
-    The count's parity is the certificate bit: odd forces ee != eo.
-    """
-    return count_ee_eo_bruteforce(H, bound).total
-
-
-def count_orientations_same_outdeg_direct(H) -> int:
-    """The same count by direct search over edge directions.
-
-    Independent of the Eulerian route: backtracks over the underlying
-    undirected edges, pruning when a vertex's out-degree overshoots its
-    target or can no longer reach it. Serves as the oracle for
-    `count_orientations_same_outdeg`.
-    """
-    arcs = _arc_list(H)
-    arc_set = set(arcs)
-    for v, w in arcs:
-        if (w, v) in arc_set:
-            raise ValueError(f"both directions of {{{v}, {w}}} present")
-    target = Counter(a[0] for a in arcs)
-    out: Counter = Counter()
-    rem = Counter()
-    for v, w in arcs:
-        rem[v] += 1
-        rem[w] += 1
-
-    def reachable(z) -> bool:
-        return out[z] <= target[z] <= out[z] + rem[z]
-
-    def rec(i: int) -> int:
-        if i == len(arcs):
-            return 1
-        v, w = arcs[i]
-        rem[v] -= 1
-        rem[w] -= 1
-        total = 0
-        for head in (v, w):
-            out[head] += 1
-            if reachable(v) and reachable(w):
-                total += rec(i + 1)
-            out[head] -= 1
-        rem[v] += 1
-        rem[w] += 1
-        return total
-
-    return rec(0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import BoundExceededError, ParseError
 
@@ -66,9 +66,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def max_degree(self) -> int:
-        return max((len(s) for s in self._adj.values()), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges
 
@@ -97,29 +94,18 @@ class Orientation:
             if (w, v) in self.arcs:
                 raise ValueError(f"both directions of {{{v}, {w}}} present")
 
-    @cached_property
-    def _adj(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices()}
-        for v, w in self.arcs:
-            nbrs[v].add(w)
-            nbrs[w].add(v)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Vertices adjacent to v, ignoring arc direction."""
-        return self._adj[v]
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self._adj[v] | {v}
+        return self._underlying.neighbors(v)
 
     def out_degree(self, v: int) -> int:
         return self._out_degrees[v - 1]
 
     def in_degree(self, v: int) -> int:
-        return len(self._adj[v]) - self.out_degree(v)
+        return self._underlying.degree(v) - self.out_degree(v)
 
     @cached_property
     def _out_degrees(self) -> tuple[int, ...]:
@@ -132,8 +118,13 @@ class Orientation:
         """Out-degree of each vertex 1..n, in vertex order."""
         return self._out_degrees
 
-    def underlying(self) -> Graph:
+    @cached_property
+    def _underlying(self) -> Graph:
         return Graph.of(self.n, self.arcs)
+
+    def underlying(self) -> Graph:
+        """The undirected graph D orients, built once per orientation."""
+        return self._underlying
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -161,6 +152,20 @@ class VertexPartition:
 # File format
 # ---------------------------------------------------------------------------
 
+def strict_int(text: str) -> int:
+    """The integer spelled by outside input: ASCII digits, optionally after
+    a minus sign, with surrounding whitespace stripped.
+
+    Raises ValueError on anything else, including what `int` would also
+    take: digit separators (``1_0``), a plus sign, and non-ASCII digits.
+    """
+    stripped = text.strip()
+    digits = stripped[1:] if stripped.startswith("-") else stripped
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(stripped)
+
+
 def parse(text: str) -> Graph | Orientation:
     """Parse the edge-list file format.
 
@@ -180,7 +185,7 @@ def parse(text: str) -> Graph | Orientation:
             continue
         if n is None:
             try:
-                n = int(line)
+                n = strict_int(line)
             except ValueError:
                 raise ParseError(f"line {lineno}: expected vertex count, got {line!r}")
             if n < 0:
@@ -195,7 +200,7 @@ def parse(text: str) -> Graph | Orientation:
         elif sep != style:
             raise ParseError(f"line {lineno}: mixed edge styles ({style!r} and {sep!r})")
         try:
-            u, v = int(tokens[0]), int(tokens[2])
+            u, v = strict_int(tokens[0]), strict_int(tokens[2])
         except ValueError:
             raise ParseError(f"line {lineno}: endpoints must be integers, got {line!r}")
         if u == v:
@@ -275,16 +280,6 @@ def two_color(G: Graph, excluded: frozenset[int] = frozenset()) -> Optional[dict
     return color
 
 
-def is_bipartite(G: Graph) -> Optional[VertexPartition]:
-    """Two-class partition with no intra-class edge, or None on an odd cycle."""
-    color = two_color(G)
-    if color is None:
-        return None
-    side0 = frozenset(v for v in G.vertices() if color[v] == 0)
-    side1 = frozenset(v for v in G.vertices() if color[v] == 1)
-    return VertexPartition((side0, side1))
-
-
 def simplicial_vertices(G: Graph) -> frozenset[int]:
     """Vertices whose neighborhood induces a clique.
 
@@ -342,7 +337,7 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Orientation enumeration
+# Orientation indexing
 # ---------------------------------------------------------------------------
 
 def orientation_from_index(G: Graph, index: int) -> Orientation:
@@ -350,7 +345,7 @@ def orientation_from_index(G: Graph, index: int) -> Orientation:
 
     Bit i of `index` set means edge i is directed high-to-low instead of
     its default low-to-high. Indexing is the stable contract that lets a
-    sweep be sharded and reproduced.
+    sweep name its witness and reproduce it.
     """
     edges = G.sorted_edges()
     if not (0 <= index < (1 << len(edges))):
@@ -371,20 +366,3 @@ def orientation_count(G: Graph, bound: Optional[int] = None) -> int:
             " (raise WD_LAB_BOUND or the bound argument)"
         )
     return 1 << m
-
-
-def enumerate_orientations(
-    G: Graph,
-    bound: Optional[int] = None,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Iterator[Orientation]:
-    """Yield every orientation of G exactly once, in index order.
-
-    `start`/`stop` restrict to an index range so sweeps can be split
-    across workers without changing the overall result.
-    """
-    total = orientation_count(G, bound)
-    hi = total if stop is None else min(stop, total)
-    for index in range(start, hi):
-        yield orientation_from_index(G, index)

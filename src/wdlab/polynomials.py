@@ -153,11 +153,6 @@ def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int
     return terms.get(cap, 0)
 
 
-def expand_full(factors: Sequence[LinearFactor], n: int) -> CappedPolynomial:
-    """Uncapped expansion over n variables (cap wide enough to never prune)."""
-    return expand_capped(factors, (len(factors),) * n)
-
-
 def classical_coefficient(D: Orientation) -> int:
     """Coefficient of the out-degree monomial in the classical polynomial.
 
@@ -174,17 +169,3 @@ def additive_coefficient(D: Orientation) -> int:
     assignment of lists of size out-degree + 1 admits an additive coloring.
     """
     return cap_coefficient(additive_factors(D), D.out_degrees())
-
-
-def evaluate_additive(D: Orientation, assignment: Mapping[int, int]) -> int:
-    """Exact value of the additive polynomial at an integer labeling."""
-    missing = [v for v in D.vertices() if v not in assignment]
-    if missing:
-        raise ValueError(f"assignment is missing vertices {missing}")
-    value = 1
-    for v, w in D.sorted_arcs():
-        nv, nw = D.neighbors(v), D.neighbors(w)
-        value *= sum(assignment[u] for u in nw - nv) - sum(assignment[u] for u in nv - nw)
-        if value == 0:
-            return 0
-    return value

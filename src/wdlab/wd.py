@@ -14,7 +14,9 @@ Eulerian subdigraphs of W(D) are exactly the unions of edge-disjoint
 gamma-paths whose star in/out traffic balances, which is what makes the
 structured counters in `eulerian` possible. The same fact defines the
 digraph here: `gamma_paths_for_arc` is the one place that spells out a
-sector, and sectors, W(D) and the decomposition are read off its paths.
+sector, the arcs of W(D) are the union of every gamma-path's edges, and
+the decomposition is read off the same paths. No sector is stored; a
+sector is its arc's gamma-paths without their star arcs.
 """
 
 from __future__ import annotations
@@ -68,28 +70,12 @@ def warc_key(arc: WArc) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class Sector:
-    """The per-arc fan subdigraph, before stars are attached."""
-
-    arc: tuple[int, int]
-    vertices: frozenset[WVertex]
-    arcs: frozenset[WArc]
-
-
-@dataclass(frozen=True)
 class WDigraph:
-    """Disjoint sectors plus one star per original vertex."""
+    """One star per original vertex plus the union of every gamma-path."""
 
     source: Orientation
     vertices: frozenset[WVertex]
     arcs: frozenset[WArc]
-    sectors: tuple[Sector, ...]
-
-    def sorted_arcs(self) -> list[WArc]:
-        return sorted(self.arcs, key=warc_key)
-
-    def sorted_vertices(self) -> list[WVertex]:
-        return sorted(self.vertices, key=str)
 
 
 @dataclass(frozen=True)
@@ -134,48 +120,18 @@ def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]
     return paths
 
 
-def _sector(arc: tuple[int, int], paths: list[GammaPath]) -> Sector:
-    # the path to w always exists, so the root is the tail of some inner arc
-    arcs = frozenset(e for p in paths for e in p.edges[1:-1])
-    return Sector(arc, frozenset(u for e in arcs for u in e), arcs)
-
-
-def build_sector(D: Orientation, arc: tuple[int, int]) -> Sector:
-    """Fan subdigraph for one arc (v, w): its gamma-paths without star arcs.
-
-    Vertex copies exist for every member of N(v) symm-diff N(w); the copy
-    of v is the root. Roots reach direct targets in one step and detour
-    targets in two steps through a y-vertex.
-    """
-    return _sector(arc, gamma_paths_for_arc(D, arc))
-
-
 def build_wd(D: Orientation) -> WDigraph:
-    """Assemble all sectors and stars into the full derived digraph.
+    """Assemble the full derived digraph from its gamma-paths.
 
     The arcs are the union of every gamma-path's edges: stars feed the root
     of every sector they name, and every non-root vertex copy x^{vw} exits
-    to the star of x. Sectors of distinct arcs share no vertices, so all
-    structure shared between arcs goes through stars.
+    to the star of x. The vertices are the stars plus the endpoints of those
+    arcs. Sectors of distinct arcs share no vertices, so all structure
+    shared between arcs goes through stars.
     """
-    fans = [(arc, gamma_paths_for_arc(D, arc)) for arc in D.sorted_arcs()]
-    sectors = tuple(_sector(arc, paths) for arc, paths in fans)
-    vertices: set[WVertex] = {Star(x) for x in D.vertices()}
-    for sector in sectors:
-        vertices |= sector.vertices
-    arcs = frozenset(e for _, paths in fans for p in paths for e in p.edges)
-    return WDigraph(D, frozenset(vertices), arcs, sectors)
-
-
-def gamma_path(D: Orientation, arc: tuple[int, int], x: int) -> GammaPath:
-    """The unique star-to-star path through the sector of `arc` ending at x."""
-    paths = gamma_paths_for_arc(D, arc)
-    if x == arc[0]:
-        raise ValueError(f"target {x} is the sector source itself")
-    for p in paths:
-        if p.target == x:
-            return p
-    raise ValueError(f"vertex {x} is not a target of the {arc[0]}>{arc[1]} sector")
+    arcs = frozenset(e for p in all_gamma_paths(D) for e in p.edges)
+    vertices = frozenset(Star(x) for x in D.vertices()) | {u for e in arcs for u in e}
+    return WDigraph(D, vertices, arcs)
 
 
 def all_gamma_paths(D: Orientation) -> list[GammaPath]:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own search machinery:
 naive subset scans, permutation-based isomorphism, Kahn's algorithm. Slow
-but obviously correct, which is the point.
+but obviously correct, which is the point. Lookups and oracles that only
+tests call live here too, not in the library.
 """
 
 from __future__ import annotations
@@ -10,14 +11,19 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from typing import Iterator, Mapping, Optional
 
 from wdlab import (
+    GammaPath,
     Graph,
     Orientation,
     SweepReport,
+    VertexPartition,
     additive_coefficient,
-    enumerate_orientations,
+    gamma_paths_for_arc,
 )
+from wdlab.eulerian import _arc_list
+from wdlab.graphs import orientation_count, orientation_from_index, two_color
 
 
 def is_balanced(arcs) -> bool:
@@ -206,3 +212,98 @@ def caterpillar(spine: int, rng: random.Random) -> Orientation:
     edges = [(i, i + 1) for i in range(1, spine)] + [(i, spine + i) for i in range(1, spine + 1)]
     arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
     return Orientation(2 * spine, frozenset(arcs))
+
+
+def enumerate_orientations(
+    G: Graph,
+    bound: Optional[int] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> Iterator[Orientation]:
+    """Yield every orientation of G exactly once, in index order.
+
+    `start`/`stop` restrict to an index range; tests use `start` to draw
+    one orientation at a random index.
+    """
+    total = orientation_count(G, bound)
+    hi = total if stop is None else min(stop, total)
+    for index in range(start, hi):
+        yield orientation_from_index(G, index)
+
+
+def is_bipartite(G: Graph) -> Optional[VertexPartition]:
+    """Two-class partition with no intra-class edge, or None on an odd cycle."""
+    color = two_color(G)
+    if color is None:
+        return None
+    side0 = frozenset(v for v in G.vertices() if color[v] == 0)
+    side1 = frozenset(v for v in G.vertices() if color[v] == 1)
+    return VertexPartition((side0, side1))
+
+
+def gamma_path(D: Orientation, arc: tuple[int, int], x: int) -> GammaPath:
+    """The unique star-to-star path through the sector of `arc` ending at x."""
+    paths = gamma_paths_for_arc(D, arc)
+    if x == arc[0]:
+        raise ValueError(f"target {x} is the sector source itself")
+    for p in paths:
+        if p.target == x:
+            return p
+    raise ValueError(f"vertex {x} is not a target of the {arc[0]}>{arc[1]} sector")
+
+
+def evaluate_additive(D: Orientation, assignment: Mapping[int, int]) -> int:
+    """Exact value of the additive polynomial at an integer labeling."""
+    missing = [v for v in D.vertices() if v not in assignment]
+    if missing:
+        raise ValueError(f"assignment is missing vertices {missing}")
+    value = 1
+    for v, w in D.sorted_arcs():
+        nv, nw = D.neighbors(v), D.neighbors(w)
+        value *= sum(assignment[u] for u in nw - nv) - sum(assignment[u] for u in nv - nw)
+        if value == 0:
+            return 0
+    return value
+
+
+def count_orientations_same_outdeg_direct(H) -> int:
+    """Orientations of H's underlying graph with H's out-degrees, by
+    direct search over edge directions.
+
+    Independent of the Eulerian route: backtracks over the underlying
+    undirected edges, pruning when a vertex's out-degree overshoots its
+    target or can no longer reach it. Serves as the oracle for
+    `count_ee_eo_bruteforce(H).total` (see `TestOrientationCounts`).
+    """
+    arcs = _arc_list(H)
+    arc_set = set(arcs)
+    for v, w in arcs:
+        if (w, v) in arc_set:
+            raise ValueError(f"both directions of {{{v}, {w}}} present")
+    target = Counter(a[0] for a in arcs)
+    out: Counter = Counter()
+    rem = Counter()
+    for v, w in arcs:
+        rem[v] += 1
+        rem[w] += 1
+
+    def reachable(z) -> bool:
+        return out[z] <= target[z] <= out[z] + rem[z]
+
+    def rec(i: int) -> int:
+        if i == len(arcs):
+            return 1
+        v, w = arcs[i]
+        rem[v] -= 1
+        rem[w] -= 1
+        total = 0
+        for head in (v, w):
+            out[head] += 1
+            if reachable(v) and reachable(w):
+                total += rec(i + 1)
+            out[head] -= 1
+        rem[v] += 1
+        rem[w] += 1
+        return total
+
+    return rec(0)

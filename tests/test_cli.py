@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
 
+from helpers import random_orientation
 from wdlab import Graph, Orientation, additive_coefficient, parse, to_text
 from wdlab.cli import main
 
@@ -66,6 +68,17 @@ class TestCount:
         monkeypatch.setenv("WD_LAB_BOUND", "many")
         code, _, err = run(capsys, "count", d1_file, "--classic")
         assert code == 2 and "WD_LAB_BOUND" in err
+
+    @pytest.mark.parametrize("raw", ["2_4", "-1", "+30", "\u0663\u0660", ""])
+    def test_env_bound_is_a_non_negative_ascii_integer(self, capsys, d1_file, monkeypatch, raw):
+        # int() reads "2_4" as 24 and the Arabic-Indic digits as 30; -1 used
+        # to reach the counter and fail as an exceeded bound
+        monkeypatch.setenv("WD_LAB_BOUND", raw)
+        code, out, err = run(capsys, "count", d1_file, "--classic")
+        assert code == 2 and out == ""
+        assert f"WD_LAB_BOUND must be a non-negative integer, got {raw!r}" in err
+        monkeypatch.setenv("WD_LAB_BOUND", " 24 ")
+        assert run(capsys, "count", d1_file, "--classic")[0] == 0
 
     def test_edgeless_graph_promotes(self, capsys, tmp_path):
         path = tmp_path / "iso.g"
@@ -142,6 +155,22 @@ class TestBuildWd:
         _, second, _ = run(capsys, "build-wd", d1_file)
         assert first == second
 
+    def test_one_sector_per_arc(self, capsys, tmp_path):
+        rng = random.Random(31)
+        path = tmp_path / "d.dg"
+        for _ in range(20):
+            D = random_orientation(rng, n_max=7)
+            path.write_text(to_text(D))
+            code, out, _ = run(capsys, "build-wd", str(path), "--json")
+            assert code == 0
+            assert json.loads(out)["sectors"] == len(D.arcs)
+
+    def test_edgeless(self, capsys, tmp_path):
+        path = tmp_path / "iso.g"
+        path.write_text("3\n")
+        code, out, _ = run(capsys, "build-wd", str(path), "--json")
+        assert code == 0 and out == '{"vertices":3,"arcs":0,"sectors":0}\n'
+
 
 class TestColor:
     def test_absent(self, capsys, tmp_path):
@@ -191,6 +220,16 @@ class TestColor:
         # a padded key naming a vertex once is still accepted
         code, out, _ = run(capsys, "color", str(path), "--lists", '{"01":[1],"2":[2],"3":[3]}')
         assert code == 0 and out == '{"1":1,"2":2,"3":3}\n'
+
+    def test_keys_are_ascii_integers(self, capsys, tmp_path):
+        # int() reads "\u0663" (Arabic-Indic three) as 3 and "0_2" as 2
+        path = tmp_path / "k3.g"
+        path.write_text("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
+        for key in ("\u0663", "0_3", "+3"):
+            lists = json.dumps({"1": [1], "2": [2], key: [3]}, ensure_ascii=False)
+            code, out, err = run(capsys, "color", str(path), "--lists", lists)
+            assert code == 2 and out == ""
+            assert f"list key {key!r} is not a vertex id" in err
 
     def test_orientation_input_rejected(self, capsys, d1_file):
         code, _, err = run(capsys, "color", d1_file, "--lists", "{}")
@@ -302,6 +341,19 @@ class TestErrors:
         path.write_text("2\n1 -> 2\n2 -> 1\n")
         code, _, err = run(capsys, "count", str(path))
         assert code == 2 and "both directions" in err
+
+    @pytest.mark.parametrize("header", ["1_0", "\u0663", "+4"])
+    def test_header_is_an_ascii_integer(self, capsys, tmp_path, header):
+        path = tmp_path / "bad.dg"
+        path.write_text(f"{header}\n1 -> 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "count", str(path))
+        assert code == 2 and out == "" and "expected vertex count" in err
+
+    def test_negative_header_message(self, capsys, tmp_path):
+        path = tmp_path / "bad.dg"
+        path.write_text("-3\n")
+        code, _, err = run(capsys, "count", str(path))
+        assert code == 2 and "vertex count must be non-negative" in err
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from helpers import (
+    enumerate_orientations,
     is_connected,
     odd_cycle_vertex_sets,
     path_graph,
@@ -24,7 +25,6 @@ from wdlab import (
     check_tripartite_hypothesis,
     conjecture_sweep,
     count_ee_eo_wd,
-    enumerate_orientations,
     find_additive_coloring,
     gen_complete,
     gen_complete_bipartite,

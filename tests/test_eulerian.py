@@ -6,7 +6,15 @@ import time
 
 import pytest
 
-from helpers import caterpillar, is_acyclic, is_balanced, naive_ee_eo, random_orientation
+from helpers import (
+    caterpillar,
+    count_orientations_same_outdeg_direct,
+    enumerate_orientations,
+    is_acyclic,
+    is_balanced,
+    naive_ee_eo,
+    random_orientation,
+)
 from wdlab import (
     BoundExceededError,
     EulerianCount,
@@ -17,10 +25,7 @@ from wdlab import (
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    count_orientations_same_outdeg,
-    count_orientations_same_outdeg_direct,
     decompose_into_gamma_paths,
-    enumerate_orientations,
     enumerate_eulerian_spanning,
     gamma_paths_for_arc,
 )
@@ -196,24 +201,31 @@ class TestEulerianPathStructure:
 
 
 class TestOrientationCounts:
+    """Orientations of the underlying graph with H's out-degrees, counted
+    as ee + eo of H: reversing the arcs of a balanced subset is a bijection
+    between such orientations and spanning Eulerian subdigraphs."""
+
     def test_wd_d1_value(self, d1):
-        assert count_orientations_same_outdeg(build_wd(d1)) == 4
+        assert count_ee_eo_bruteforce(build_wd(d1)).total == 4
 
     def test_wd_d2_value(self, d2):
-        assert count_orientations_same_outdeg(build_wd(d2), bound=25) == 10
+        assert count_ee_eo_bruteforce(build_wd(d2), bound=25).total == 10
 
     def test_acyclic_is_one(self, d1):
-        assert count_orientations_same_outdeg(d1) == 1
+        assert count_ee_eo_bruteforce(d1).total == 1
 
     def test_parity_bit(self, d1):
-        assert count_orientations_same_outdeg(build_wd(d1)) % 2 == 0
-        assert count_orientations_same_outdeg(d1) % 2 == 1
+        # the count's parity is the certificate bit: odd forces ee != eo
+        assert count_ee_eo_bruteforce(build_wd(d1)).total % 2 == 0
+        assert count_ee_eo_bruteforce(d1).total % 2 == 1
 
     def test_direct_matches_eulerian_route(self):
+        # relies on the bijection above: the direct search counts
+        # orientations, the Eulerian route counts balanced subsets
         rng = random.Random(43)
         for _ in range(25):
             D = random_orientation(rng, n_max=4, arc_cap=5)
-            assert count_orientations_same_outdeg(D) == count_orientations_same_outdeg_direct(D)
+            assert count_ee_eo_bruteforce(D).total == count_orientations_same_outdeg_direct(D)
 
     def test_direct_matches_full_orientation_scan(self):
         # third route: scan all 2^|E| orientations, compare out-degrees

@@ -4,18 +4,22 @@ import random
 
 import pytest
 
-from helpers import is_acyclic, random_graph, random_orientation
+from helpers import (
+    enumerate_orientations,
+    is_acyclic,
+    is_bipartite,
+    random_graph,
+    random_orientation,
+)
 from wdlab import (
     BoundExceededError,
     Graph,
     Orientation,
     ParseError,
-    enumerate_orientations,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
     gen_sun,
-    is_bipartite,
     orientation_from_index,
     parse,
     simplicial_vertices,
@@ -72,6 +76,24 @@ class TestParse:
             parse("3\n1 - 2\n")
         with pytest.raises(ParseError):
             parse("3\n1 -- 2 3\n")
+
+    def test_strict_integers(self):
+        # int() reads each of these as a vertex count or id in range
+        for bad in (
+            "1_0\n",
+            "\u0663\n",  # Arabic-Indic three
+            "+3\n",
+            "12\n1_0 -- 2\n",
+            "3\n\u0661 -> 2\n",
+            "3\n1 -- +2\n",
+        ):
+            with pytest.raises(ParseError, match="expected vertex count|must be integers"):
+                parse(bad)
+        with pytest.raises(ParseError, match="vertex count must be non-negative"):
+            parse("-3\n")
+        with pytest.raises(ParseError, match="out of range"):
+            parse("3\n-1 -- 2\n")
+        assert parse(" 03 \n01 -- 2\n") == Graph.of(3, [(1, 2)])
 
     def test_edgeless_parses_as_graph(self):
         assert parse("5\n") == Graph.of(5, [])

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import caterpillar, random_lists, random_orientation
+from helpers import caterpillar, evaluate_additive, random_lists, random_orientation
 from wdlab import (
     LinearFactor,
     Orientation,
@@ -18,9 +18,7 @@ from wdlab import (
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    evaluate_additive,
     expand_capped,
-    expand_full,
     find_additive_coloring,
     is_additive_coloring,
 )
@@ -84,7 +82,8 @@ class TestExpand:
 
     def test_cancelled_terms_never_stored(self):
         # (x1 + x2)(x1 - x2): the cross terms cancel and must vanish
-        poly = expand_full([F((1, 1), (1, 2)), F((1, 1), (-1, 2))], 2)
+        factors = [F((1, 1), (1, 2)), F((1, 1), (-1, 2))]
+        poly = expand_capped(factors, (len(factors),) * 2)
         assert poly.terms == {(2, 0): 1, (0, 2): -1}
 
     def test_cap_soundness_random(self):
@@ -98,7 +97,7 @@ class TestExpand:
                 factors.append(F(*((rng.choice((1, -1)), u) for u in ids)))
             cap = tuple(rng.randint(0, m) for _ in range(n))
             capped = expand_capped(factors, cap)
-            full = expand_full(factors, n)
+            full = expand_capped(factors, (len(factors),) * n)
             for exp in itertools.product(*(range(c + 1) for c in cap)):
                 assert capped.coefficient(exp) == full.terms.get(exp, 0)
             assert all(
@@ -187,7 +186,8 @@ class TestCoefficients:
     def test_classical_transitive_triangle(self):
         D = Orientation(3, frozenset([(1, 2), (1, 3), (2, 3)]))
         assert classical_coefficient(D) == 1
-        full = expand_full(classical_factors(D), 3)
+        factors = classical_factors(D)
+        full = expand_capped(factors, (len(factors),) * 3)
         assert full.terms[(2, 1, 0)] == 1
 
     def test_arcless(self):

@@ -5,17 +5,15 @@ import random
 
 import pytest
 
-from helpers import random_orientation
+from helpers import gamma_path, random_orientation
 from wdlab import (
     Orientation,
     SectorX,
     SectorY,
     Star,
     all_gamma_paths,
-    build_sector,
     build_wd,
     decompose_into_gamma_paths,
-    gamma_path,
     gamma_paths_for_arc,
     symmetric_difference_neighborhoods,
 )
@@ -25,14 +23,21 @@ def star_out_degree(wd, x: int) -> int:
     return sum(1 for a in wd.arcs if a[0] == Star(x))
 
 
+def sector(D, arc):
+    """(vertices, arcs) of the sector of `arc`: the inner edges of its
+    gamma-paths, without their star arcs, and the endpoints of those."""
+    arcs = frozenset(e for p in gamma_paths_for_arc(D, arc) for e in p.edges[1:-1])
+    return frozenset(u for e in arcs for u in e), arcs
+
+
 class TestBuildSector:
     def test_d1_sector_12(self, d1):
-        s = build_sector(d1, (1, 2))
+        vertices, arcs = sector(d1, (1, 2))
         a = (1, 2)
-        assert s.vertices == frozenset(
+        assert vertices == frozenset(
             {SectorX(a, 1), SectorX(a, 2), SectorX(a, 4), SectorY(a, 4)}
         )
-        assert s.arcs == frozenset(
+        assert arcs == frozenset(
             {
                 (SectorX(a, 1), SectorX(a, 2)),
                 (SectorX(a, 1), SectorY(a, 4)),
@@ -41,23 +46,23 @@ class TestBuildSector:
         )
 
     def test_d1_sector_24(self, d1):
-        s = build_sector(d1, (2, 4))
+        vertices, arcs = sector(d1, (2, 4))
         a = (2, 4)
-        assert s.vertices == frozenset(SectorX(a, x) for x in (1, 2, 3, 4))
-        assert s.arcs == frozenset(
+        assert vertices == frozenset(SectorX(a, x) for x in (1, 2, 3, 4))
+        assert arcs == frozenset(
             (SectorX(a, 2), SectorX(a, x)) for x in (1, 3, 4)
         )
 
     def test_single_arc(self):
         D = Orientation(2, frozenset([(1, 2)]))
-        s = build_sector(D, (1, 2))
+        vertices, arcs = sector(D, (1, 2))
         a = (1, 2)
-        assert s.vertices == frozenset({SectorX(a, 1), SectorX(a, 2)})
-        assert s.arcs == frozenset({(SectorX(a, 1), SectorX(a, 2))})
+        assert vertices == frozenset({SectorX(a, 1), SectorX(a, 2)})
+        assert arcs == frozenset({(SectorX(a, 1), SectorX(a, 2))})
 
     def test_non_arc_rejected(self, d1):
         with pytest.raises(ValueError):
-            build_sector(d1, (2, 1))
+            gamma_paths_for_arc(d1, (2, 1))
 
 
 class TestBuildWd:
@@ -129,26 +134,29 @@ class TestBuildWd:
         }
 
     def test_d3_every_sector_has_one_detour(self, d3):
-        wd = build_wd(d3)
         expected_y = {(2, 1): 4, (4, 1): 2, (3, 2): 1, (3, 4): 1}
-        for sector in wd.sectors:
-            ys = [v for v in sector.vertices if isinstance(v, SectorY)]
+        assert set(d3.arcs) == set(expected_y)
+        for arc in d3.sorted_arcs():
+            vertices, _ = sector(d3, arc)
+            ys = [v for v in vertices if isinstance(v, SectorY)]
             assert len(ys) == 1
-            assert ys[0].x == expected_y[sector.arc]
+            assert ys[0].x == expected_y[arc]
 
     def test_arcless(self):
-        wd = build_wd(Orientation(3, frozenset()))
+        D = Orientation(3, frozenset())
+        wd = build_wd(D)
         assert wd.vertices == frozenset({Star(1), Star(2), Star(3)})
         assert wd.arcs == frozenset()
-        assert wd.sectors == ()
+        assert all_gamma_paths(D) == []
 
     def test_sectors_vertex_disjoint(self, d1, d2, d3):
         for D in (d1, d2, d3):
             wd = build_wd(D)
-            for s, t in itertools.combinations(wd.sectors, 2):
-                assert not s.vertices & t.vertices
+            sectors = [sector(D, arc)[0] for arc in D.sorted_arcs()]
+            for s, t in itertools.combinations(sectors, 2):
+                assert not s & t
             non_star = {v for v in wd.vertices if not isinstance(v, Star)}
-            assert non_star == set().union(*(s.vertices for s in wd.sectors))
+            assert non_star == set().union(*sectors)
 
     def test_degree_structure(self, d1, d2, d3):
         rng = random.Random(5)
@@ -163,8 +171,8 @@ class TestBuildWd:
                     assert star_out_degree(wd, v.x) == D.out_degree(v.x)
                 else:
                     assert indeg[v] <= 1
-            for sector in wd.sectors:
-                root = SectorX(sector.arc, sector.arc[0])
+            for arc in D.sorted_arcs():
+                root = SectorX(arc, arc[0])
                 assert indeg[root] == 1
 
     def test_size_formulas(self, d1, d2, d3):
