@@ -278,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="additive coefficient of every orientation")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=strict_int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a generated graph or orientation file")
     p.add_argument("family", choices=["sun", "cycle", "complete", "complete-bipartite"])
-    p.add_argument("params", type=int, nargs="+")
+    p.add_argument("params", type=strict_int, nargs="+")
     p.set_defaults(fn=_cmd_gen)
 
     return parser

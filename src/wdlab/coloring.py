@@ -7,14 +7,20 @@ out-degree + 1; structural hypotheses (odd cycles covered by simplicial
 sinks, or a qualifying class of a 3-partition, which is the same check
 with a non-empty sink class) force the odd Eulerian count of W(D) to
 zero, which makes the coefficient positive.
+
+The list search backtracks over vertices 1..n in natural order, each
+vertex taking the values of its sorted list from the smallest. It checks
+an edge as soon as both ends have all their neighbors labeled, and it
+remembers frontier states that led to no coloring. Both prunings drop
+only labelings that fail, so the first coloring found is the
+lexicographically first one in the product of the sorted lists. Its
+budget counts nodes visited, one per value assigned.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import prod
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundExceededError
 from .graphs import (
@@ -28,8 +34,13 @@ from .graphs import (
 )
 from .polynomials import additive_factors, expand_capped
 
-#: Largest product of list sizes the coloring search will walk.
+#: Most nodes (values assigned) the coloring search will visit.
 DEFAULT_COLORING_BOUND = 10_000_000
+
+#: Most partial sums the coloring search keeps in its memo of dead frontier
+#: states. Once it is full, the search keeps what it has and adds nothing; a
+#: search that filled it on 24 vertices peaked at 73 MB RSS.
+_DEAD_SUMS_MAX = 1 << 21
 
 
 def induced_sums(G: Graph, ell: Mapping[int, int]) -> dict[int, int]:
@@ -61,6 +72,127 @@ def _validated_lists(G: Graph, lists: Mapping[int, Sequence[int]]) -> list[list[
     return out
 
 
+def _frontiers(
+    adjacency: list[tuple[int, ...]], checks: list[list[tuple[int, int]]]
+) -> list[list[int]]:
+    """For each step k, the vertices whose neighbor-sum a check after step k
+    still reads and a vertex at or before k has already added to.
+
+    Those partial sums are all that the rest of the search sees of the
+    labels given so far.
+    """
+    size = len(adjacency)
+    last_read = [0] * size
+    for step, pairs in enumerate(checks):
+        for u, v in pairs:
+            last_read[u] = last_read[v] = step
+    frontier: list[list[int]] = [[] for _ in range(size)]
+    for y, around in enumerate(adjacency):
+        for k in range(min(around, default=size), last_read[y]):
+            frontier[k].append(y)
+    return frontier
+
+
+def _additive_colorings(
+    G: Graph,
+    lists: Mapping[int, Sequence[int]],
+    bound: Optional[int] = None,
+) -> Iterator[dict[int, int]]:
+    """Every labeling from the lists whose neighbor-sums properly color G,
+    in lexicographic order of (label of 1, ..., label of n).
+
+    Backtracks over vertices 1..n in natural order, each taking the values
+    of its sorted, deduplicated list, and keeps the running neighbor sums
+    s. Edge uv is checked at the step that assigns the last vertex of
+    N(u) | N(v), when s(u) and s(v) are final, and the value is pruned when
+    they are equal.
+
+    After step k the rest of the search sees the labels of 1..k only
+    through the partial sums of the frontier of k (`_frontiers`). So a
+    frontier state whose subtree held no coloring is remembered, and a
+    value that leads back to it is pruned. Without this, a cycle, whose
+    closing edges are checked only at the last step, could be searched in
+    exponential time after one bad early label. The memo holds at most
+    `_DEAD_SUMS_MAX` sums.
+
+    Every branch cut off holds no coloring, so the colorings come out in
+    the order of the product of the lists. The loop is explicit, so a long
+    path cannot exhaust the recursion depth. Each value assigned is one
+    node; past `bound` nodes (default `DEFAULT_COLORING_BOUND`) the search
+    raises BoundExceededError.
+    """
+    # every per-vertex table has an unused slot 0, so vertex v is at index v
+    sorted_lists = [[]] + _validated_lists(G, lists)
+    limit = DEFAULT_COLORING_BOUND if bound is None else bound
+    last = G.n
+    if last == 0:
+        yield {}
+        return
+    adjacency = [()] + [tuple(G.neighbors(v)) for v in G.vertices()]
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
+    for u, v in G.edges:
+        checks[max(adjacency[u] + adjacency[v])].append((u, v))
+    frontier: list[list[int]] = []  # built at the first dead end
+    dead: list[Optional[set[tuple[int, ...]]]] = [None] * (last + 1)
+    room = _DEAD_SUMS_MAX
+    found = 0  # colorings yielded so far
+    marks = [0] * (last + 1)  # `found` when each vertex took its current value
+    sums = [0] * (last + 1)
+    chosen = [-1] * (last + 1)  # index of each vertex's value, -1 for none
+    nodes = 0
+    k = 1
+    while k > 0:
+        values, around, schedule = sorted_lists[k], adjacency[k], checks[k]
+        i = chosen[k]
+        if i >= 0:
+            if k < last and found == marks[k]:
+                # the subtree below this value is used up and held no coloring
+                if not frontier:
+                    frontier = _frontiers(adjacency, checks)
+                if room >= len(frontier[k]):
+                    room -= len(frontier[k])
+                    if dead[k] is None:
+                        dead[k] = set()
+                    dead[k].add(tuple([sums[y] for y in frontier[k]]))
+            # take back the value tried last at this vertex
+            a = values[i]
+            for y in around:
+                sums[y] -= a
+        for i in range(i + 1, len(values)):
+            nodes += 1
+            if nodes > limit:
+                raise BoundExceededError(
+                    f"the coloring search reached {nodes} nodes,"
+                    f" above the node bound {limit} (raise the bound argument)"
+                )
+            a = values[i]
+            for y in around:
+                sums[y] += a
+            for u, v in schedule:
+                if sums[u] == sums[v]:
+                    break
+            else:
+                if k == last:
+                    break
+                seen = dead[k]
+                if seen is None or tuple([sums[y] for y in frontier[k]]) not in seen:
+                    marks[k] = found
+                    break
+            for y in around:
+                sums[y] -= a
+        else:
+            # every value at k is used up: go back to k - 1
+            chosen[k] = -1
+            k -= 1
+            continue
+        chosen[k] = i
+        if k == last:
+            found += 1
+            yield {v: sorted_lists[v][chosen[v]] for v in G.vertices()}
+        else:
+            k += 1
+
+
 def find_additive_coloring(
     G: Graph,
     lists: Mapping[int, Sequence[int]],
@@ -68,29 +200,18 @@ def find_additive_coloring(
 ) -> Optional[dict[int, int]]:
     """First labeling from the lists whose neighbor-sums properly color G.
 
-    Walks the product of the sorted lists in lexicographic order, so the
-    answer is deterministic; returns None when no combination works.
+    The search assigns vertices 1..n in natural order, tries each sorted
+    list from its smallest value, and prunes a value as soon as an edge
+    whose ends have all their neighbors assigned gets equal neighbor-sums.
+    It also prunes a value that leads back to a frontier state already
+    searched without success (`_additive_colorings`). Pruning drops only
+    labelings that fail, so the answer is the lexicographically first
+    coloring in the product of the sorted lists, the same one a scan of
+    that product would return; None when no labeling works. `bound`
+    (default `DEFAULT_COLORING_BOUND`) caps the nodes visited, one per
+    value assigned; past it the search raises BoundExceededError.
     """
-    sorted_lists = _validated_lists(G, lists)
-    limit = DEFAULT_COLORING_BOUND if bound is None else bound
-    space = prod(len(values) for values in sorted_lists)
-    if space > limit:
-        raise BoundExceededError(
-            f"search space of {space} labelings is above the bound {limit}"
-        )
-    edges = G.sorted_edges()
-    adjacency = [tuple(G.neighbors(v)) for v in G.vertices()]
-    for combo in itertools.product(*sorted_lists):
-        ok = True
-        for u, v in edges:
-            cu = sum(combo[x - 1] for x in adjacency[u - 1])
-            cv = sum(combo[x - 1] for x in adjacency[v - 1])
-            if cu == cv:
-                ok = False
-                break
-        if ok:
-            return {v: combo[v - 1] for v in G.vertices()}
-    return None
+    return next(_additive_colorings(G, lists, bound), None)
 
 
 def _require_orients(G: Graph, D: Orientation) -> None:

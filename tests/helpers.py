@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the library's own search machinery:
 naive subset scans, permutation-based isomorphism, Kahn's algorithm. Slow
-but obviously correct, which is the point. Lookups and oracles that only
-tests call live here too, not in the library.
+but obviously correct, which is the point. The one exception,
+`nullstellensatz_coefficient`, sums over the colorings the library's
+list search yields, so that its match with the coefficient checks both.
+Lookups and oracles that only tests call live here too, not in the
+library.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from wdlab import (
@@ -22,6 +26,7 @@ from wdlab import (
     additive_coefficient,
     gamma_paths_for_arc,
 )
+from wdlab.coloring import _additive_colorings
 from wdlab.eulerian import _arc_list
 from wdlab.graphs import orientation_count, orientation_from_index, two_color
 
@@ -264,6 +269,38 @@ def evaluate_additive(D: Orientation, assignment: Mapping[int, int]) -> int:
         if value == 0:
             return 0
     return value
+
+
+def nullstellensatz_coefficient(D: Orientation, lists: Mapping[int, list[int]]) -> Fraction:
+    """The additive coefficient [x^d] P by the quantitative Combinatorial
+    Nullstellensatz (Lason 2010; Karasev and Petrov 2012).
+
+    With lists A_v of exactly d_v + 1 distinct values, d_v the out-degree,
+    [x^d] P = sum over c in prod A_v of P(c) / prod_v prod_{a in A_v, a != c_v} (c_v - a),
+    where P(c) is the product over arcs (v, w) of s(w) - s(v) and s is the
+    neighbor sum. P(c) is nonzero exactly on additive colorings, so the sum
+    runs over the colorings the library's search enumerates: a match with
+    `additive_coefficient` checks that search's completeness as well.
+    """
+    values = {v: set(lists[v]) for v in D.vertices()}
+    for v in D.vertices():
+        if len(values[v]) != D.out_degree(v) + 1:
+            raise ValueError(f"list for vertex {v} needs out-degree + 1 distinct values")
+    arcs = D.sorted_arcs()
+    around = {v: tuple(D.neighbors(v)) for v in D.vertices()}
+    total = Fraction(0)
+    for c in _additive_colorings(D.underlying(), lists):
+        s = {v: sum(c[u] for u in around[v]) for v in D.vertices()}
+        value = 1
+        for v, w in arcs:
+            value *= s[w] - s[v]
+        weight = 1
+        for v in D.vertices():
+            for a in values[v]:
+                if a != c[v]:
+                    weight *= c[v] - a
+        total += Fraction(value, weight)
+    return total
 
 
 def count_orientations_same_outdeg_direct(H) -> int:

@@ -24,6 +24,7 @@ from helpers import (
 from wdlab import (
     EulerianCount,
     Graph,
+    Orientation,
     additive_coefficient,
     all_gamma_paths,
     build_wd,
@@ -182,11 +183,26 @@ def test_criterion_07_simplicial_sink_certificate():
     print("criterion 7: PASS - suns k=2,3 certified and colored 50/50; K4 fails all 64 orientations")
 
 
+def _long_corpus(rng: random.Random) -> list:
+    """Suns k = 4, 5, and paths and cycles of 40-121 vertices with every
+    edge oriented by a coin flip: sizes only the pruned search reaches."""
+    def orient(n, edges):
+        return Orientation(n, frozenset((u, v) if rng.random() < 0.5 else (v, u) for u, v in edges))
+
+    corpus = [gen_sun(4), gen_sun(5)]
+    for n in range(40, 121, 8):
+        path = [(i, i + 1) for i in range(1, n)]
+        corpus.append(orient(n, path))
+        corpus.append(orient(n, path + [(1, n)]))
+        corpus.append(orient(n + 1, path + [(n, n + 1), (1, n + 1)]))
+    return corpus
+
+
 def test_criterion_08_nullstellensatz_consequence(small_corpus):
     rng = random.Random(16180339)
     failures = 0
     certified = 0
-    for D in small_corpus:
+    for D in small_corpus + _long_corpus(rng):
         if additive_coefficient(D) == 0:
             continue
         certified += 1

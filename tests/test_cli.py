@@ -235,6 +235,16 @@ class TestColor:
         code, _, err = run(capsys, "color", d1_file, "--lists", "{}")
         assert code == 2 and "undirected" in err
 
+    def test_coloring_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        # d1's underlying graph; an exhausted node budget is not a "none"
+        path = tmp_path / "d1.g"
+        path.write_text("4\n1 -- 2\n1 -- 3\n2 -- 4\n2 -- 3\n")
+        monkeypatch.setattr("wdlab.coloring.DEFAULT_COLORING_BOUND", 1)
+        lists = '{"1":[1,2],"2":[1,2,3],"3":[1,2],"4":[1]}'
+        code, out, err = run(capsys, "color", str(path), "--lists", lists)
+        assert code == 2 and out == ""
+        assert err.startswith("wd-lab: error:") and "node bound 1 " in err
+
 
 class TestCheckHypothesis:
     def test_sun_true(self, capsys, tmp_path):
@@ -297,6 +307,17 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", str(path), "--limit", "-5", "--json")
         assert code == 2 and out == "" and "limit" in err
 
+    @pytest.mark.parametrize("limit", ["0_2", "\u0662", "+2"])
+    def test_limit_is_an_ascii_integer(self, capsys, tmp_path, limit):
+        # int() reads "0_2" and "\u0662" (Arabic-Indic two) as 2
+        path = tmp_path / "k3.g"
+        path.write_text("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", str(path), "--limit", limit, "--json"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--limit" in captured.err
+
     def test_env_bound(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "c4.g"
         path.write_text("4\n1 -- 2\n2 -- 3\n3 -- 4\n1 -- 4\n")
@@ -329,6 +350,15 @@ class TestGen:
         assert run(capsys, "gen", "sun", "1")[0] == 2
         assert run(capsys, "gen", "cycle", "2")[0] == 2
         assert run(capsys, "gen", "complete-bipartite", "2")[0] == 2
+
+    @pytest.mark.parametrize("param", ["\u0665", "0_5", "+5"])
+    def test_parameters_are_ascii_integers(self, capsys, param):
+        # int() reads "\u0665" (Arabic-Indic five) and "0_5" as 5
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "cycle", param])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "params" in captured.err
 
 
 class TestErrors:

@@ -9,9 +9,12 @@ import pytest
 from helpers import (
     enumerate_orientations,
     is_connected,
+    nullstellensatz_coefficient,
     odd_cycle_vertex_sets,
     path_graph,
     random_graph,
+    random_lists,
+    random_orientation,
     sweep_by_orientation,
     tripartite_by_search,
 )
@@ -34,6 +37,7 @@ from wdlab import (
     is_additive_coloring,
     simplicial_vertices,
 )
+from wdlab.coloring import _additive_colorings
 
 
 class TestIsAdditiveColoring:
@@ -107,10 +111,87 @@ class TestFindAdditiveColoring:
             find_additive_coloring(G, {1: [1], 2: [1], 3: [1]})
 
     def test_bound(self):
-        G = path_graph(4)
-        lists = {v: [1, 2, 3] for v in G.vertices()}
+        # the bound caps nodes visited (values assigned); C17 with lists
+        # {1, 2} has no coloring, and proving it visits 738 nodes
+        G = gen_cycle(17)
+        lists = {v: [1, 2] for v in G.vertices()}
+        with pytest.raises(BoundExceededError, match="reached 738 nodes, above the node bound 737 "):
+            find_additive_coloring(G, lists, bound=737)
+        assert find_additive_coloring(G, lists, bound=738) is None
+
+    def test_dead_state_memo(self, monkeypatch):
+        # without the memo the same proof visits 3,602 nodes
+        monkeypatch.setattr("wdlab.coloring._DEAD_SUMS_MAX", 0)
+        G = gen_cycle(17)
+        lists = {v: [1, 2] for v in G.vertices()}
+        with pytest.raises(BoundExceededError, match="node bound 3601 "):
+            find_additive_coloring(G, lists, bound=3601)
+        assert find_additive_coloring(G, lists, bound=3602) is None
+        # a memo that fills up part way still prunes only dead branches
+        rng = random.Random(97)
+        for cap in (0, 5, 40):
+            monkeypatch.setattr("wdlab.coloring._DEAD_SUMS_MAX", cap)
+            for _ in range(20):
+                G = random_graph(rng, rng.randint(5, 9), p=0.4)
+                lists = {v: sorted(rng.sample(range(1, 5), rng.randint(1, 2))) for v in G.vertices()}
+                want = [
+                    dict(zip(G.vertices(), combo))
+                    for combo in itertools.product(*(lists[v] for v in G.vertices()))
+                    if is_additive_coloring(G, dict(zip(G.vertices(), combo)))
+                ]
+                assert list(_additive_colorings(G, lists)) == want
+
+    def test_cycle_with_a_bad_early_label(self, monkeypatch):
+        # s(1) = 7 + 13 = s(2) when labels 1 and 3 are 4 and 16; the closing
+        # edge 1-2 is read only at vertex 40, so without the memo every
+        # labeling of 4..39 is tried first
+        G = gen_cycle(40)
+        rng = random.Random(40)
+        lists = {v: sorted(rng.sample(range(1, 51), 2)) for v in G.vertices()}
+        lists.update({1: [4, 7], 2: [7], 3: [16, 30], 40: [13]})
+        ell = find_additive_coloring(G, lists, bound=1000)
+        assert ell is not None and is_additive_coloring(G, ell)
+        assert (ell[1], ell[3]) == (4, 30)
+        monkeypatch.setattr("wdlab.coloring._DEAD_SUMS_MAX", 0)
         with pytest.raises(BoundExceededError):
-            find_additive_coloring(G, lists, bound=80)
+            find_additive_coloring(G, lists, bound=100_000)
+
+    def test_long_path_needs_no_recursion(self):
+        G = path_graph(3000)
+        ell = find_additive_coloring(G, {v: [1, 2] for v in G.vertices()})
+        assert ell is not None and is_additive_coloring(G, ell)
+
+    def test_empty_graph(self):
+        assert find_additive_coloring(Graph.of(0, []), {}) == {}
+
+
+class TestNullstellensatzOracle:
+    """The quantitative Nullstellensatz sum over the colorings the search
+    enumerates equals the additive coefficient."""
+
+    def test_seeded_orientations(self):
+        rng = random.Random(2718)
+        nonzero = 0
+        for _ in range(200):
+            D = random_orientation(rng, n_min=1, n_max=8, arc_cap=14)
+            coef = additive_coefficient(D)
+            assert nullstellensatz_coefficient(D, random_lists(rng, D, hi=10)) == coef
+            nonzero += coef != 0
+        assert 0 < nonzero < 200
+
+    def test_dense_g14(self):
+        rng = random.Random("wd:g14:a")
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(1, 15) for v in range(u + 1, 15) if rng.random() < 0.3]
+        D = Orientation(14, frozenset(arcs))
+        assert len(arcs) == 26
+        lists = {v: list(range(1, D.out_degree(v) + 2)) for v in D.vertices()}
+        assert nullstellensatz_coefficient(D, lists) == additive_coefficient(D)
+
+    def test_list_sizes_checked(self, d1):
+        lists = {v: [1, 2] for v in d1.vertices()}
+        with pytest.raises(ValueError, match="out-degree"):
+            nullstellensatz_coefficient(d1, lists)
 
 
 class TestSimplicialSinkHypothesis:
