@@ -6,10 +6,10 @@ as even. Two independent routes are provided: a generic pruned
 include/exclude enumeration that works on any digraph, and a structured
 counter for W(D) that walks gamma-path choices per arc of D instead of raw
 arc subsets. The latter keeps one level of star-balance states at a time,
-takes the arcs in frontier order and prunes each state on the stars the
-current arc touches (see `count_ee_eo_wd`). Tests hold the two routes to
-exact agreement, and the W(D) counter to the coefficient route of
-`polynomials`, which it does not share code with.
+each packed into one integer, takes the arcs in frontier order and prunes
+each state on the stars the current arc touches (see `count_ee_eo_wd`).
+Tests hold the two routes to exact agreement, and the W(D) counter to the
+coefficient route of `polynomials`, which it does not share code with.
 
 All counts are exact Python integers; nothing here can overflow.
 """
@@ -156,7 +156,7 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
 
     The arcs are taken in the order of `_wd_arc_plan`, one level at a time
     (frontier-based search; Kawahara et al., IEICE 2017): a level maps each
-    star-balance tuple reached so far to its (even, odd) selection counts,
+    packed balance key reached so far to its (even, odd) selection counts,
     where parity counts the chosen direct (3-arc) paths; detours have 4
     arcs. After each arc, a state survives only if the stars the arc
     touches can still close to zero with the arcs left: -out <= balance <=
@@ -166,19 +166,37 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
     vertices a level never holds more than 3. Only the current level is
     kept, and the answer is the all-zero state after the last arc.
 
+    A key is one integer with a field per star that some arc touches; an
+    untouched star's balance is always 0 and gets no field, so the counter
+    does no per-vertex work. The field of star z stores balance +
+    out_total(z), which lies in 0..out_total(z) + in_total(z) and is never
+    negative, so taking a path from v to x adds one precomputed constant.
+    Above each field sits a guard bit, always 0 in a key: adding to the
+    targets' fields their distance from the top of the field sets the
+    guard bit of exactly the targets above their new upper end, which one
+    mask then reads for all of them at once.
+
     Raises BoundExceededError once one level holds more than `bound`
     states (default DEFAULT_WD_STATE_BOUND).
     """
     limit = DEFAULT_WD_STATE_BOUND if bound is None else bound
     plan = _wd_arc_plan(D)
-    rem_out = [0] * (D.n + 1)
-    rem_in = [0] * (D.n + 1)
-    for v, direct, detour in plan:
-        rem_out[v] += 1
-        for x in direct + detour:
-            rem_in[x] += 1
-    zero = (0,) * D.n
-    level: dict[tuple[int, ...], list[int]] = {zero: [1, 0]}
+    rem_out = Counter(v for v, _, _ in plan)
+    rem_in = Counter(x for _, direct, detour in plan for x in direct + detour)
+    # the field layout, its bias and the guard bits are in the docstring
+    out_total = rem_out.copy()
+    field: dict[int, int] = {}
+    one: dict[int, int] = {}
+    guard: dict[int, int] = {}
+    zero = width = 0
+    for z in sorted(rem_out.keys() | rem_in.keys()):
+        bits = (rem_out[z] + rem_in[z]).bit_length()
+        one[z] = 1 << width
+        field[z] = ((1 << bits) - 1) << width
+        guard[z] = 1 << (width + bits)
+        zero |= rem_out[z] << width
+        width += bits + 1
+    level: dict[int, list[int]] = {zero: [1, 0]}
     for v, direct, detour in plan:
         rem_out[v] -= 1
         for x in direct + detour:
@@ -188,34 +206,46 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
         # feasible unless it sits at the new lower end minus one, where only
         # taking a path (v + 1) saves it; a target stays feasible unless it
         # sits at its new upper end plus one, where only choosing it saves it.
-        iv, v_low, v_high = v - 1, -rem_out[v], rem_in[v]
-        choices = [(x - 1, -rem_out[x], rem_in[x], True) for x in direct]
-        choices += [(x - 1, -rem_out[x], rem_in[x], False) for x in detour]
-        nxt: dict[tuple[int, ...], list[int]] = {}
-        for bal, (even, odd) in level.items():
-            over = [c for c in choices if bal[c[0]] > c[2]]  # targets that must be chosen
-            if len(over) > 1:
-                continue
-            if not over and bal[iv] >= v_low:
-                slot = nxt.get(bal)
-                if slot is None:
-                    nxt[bal] = [even, odd]
-                else:
-                    slot[0] += even
-                    slot[1] += odd
-            if bal[iv] < v_high:
-                work = list(bal)
-                work[iv] += 1
-                for ix, x_low, _, flips in over or choices:
-                    if bal[ix] <= x_low:
-                        continue
-                    work[ix] -= 1
-                    key = tuple(work)
-                    work[ix] += 1
-                    sub_even, sub_odd = (odd, even) if flips else (even, odd)
-                    slot = nxt.get(key)
+        # Star z's field reads balance + out_total(z), so each balance bound
+        # is a compare of the masked key against a constant in z's place.
+        v_field, v_out = field[v], out_total[v]
+        v_low = (v_out - rem_out[v]) * one[v]
+        v_high = (v_out + rem_in[v]) * one[v]
+        arc_targets = direct + detour
+        choices = [
+            (field[x], (out_total[x] - rem_out[x]) * one[x], one[v] - one[x], x in direct)
+            for x in arc_targets
+        ]
+        forced = {guard[x]: choice for x, choice in zip(arc_targets, choices)}
+        guards = sum(forced)
+        # key + probe sets x's guard bit exactly when x is above its new upper end
+        probe = sum(guard[x] - (out_total[x] + rem_in[x] + 1) * one[x] for x in arc_targets)
+        nxt: dict[int, list[int]] = {}
+        get = nxt.get
+        for key, (even, odd) in level.items():
+            over = (key + probe) & guards
+            if over:
+                if over & (over - 1):  # two targets must be chosen
+                    continue
+                targets = (forced[over],)
+            else:
+                targets = choices
+                if key & v_field >= v_low:
+                    slot = get(key)
                     if slot is None:
-                        nxt[key] = [sub_even, sub_odd]
+                        nxt[key] = [even, odd]
+                    else:
+                        slot[0] += even
+                        slot[1] += odd
+            if key & v_field < v_high:
+                for x_field, x_low, step, flips in targets:
+                    if key & x_field <= x_low:
+                        continue
+                    sub_even, sub_odd = (odd, even) if flips else (even, odd)
+                    bumped = key + step
+                    slot = get(bumped)
+                    if slot is None:
+                        nxt[bumped] = [sub_even, sub_odd]
                     else:
                         slot[0] += sub_even
                         slot[1] += sub_odd

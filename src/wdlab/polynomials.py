@@ -23,13 +23,21 @@ live terms then differ only in the variables whose factors are still in
 progress, so the term map grows with the width of that frontier, not with
 the size of the graph: on a directed path of 1200 vertices it never holds
 more than 3 terms.
+
+`cap_coefficient` keys each term by one packed integer, not by an
+exponent vector. Variable u with cap[u] > 0 owns a field of
+cap[u].bit_length() bits, the fields laid out in vertex order from the
+low end, so a field holds any exponent up to its cap and multiplying by
+x_u is one integer add. A cap-0 variable gets no field: its terms can
+never fire and are dropped before the product starts. The cap test and
+the retirement test each mask the key and compare it with the cap
+shifted into place.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .graphs import Orientation
@@ -121,36 +129,46 @@ def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int
     """Coefficient of the cap monomial in the product of the factors.
 
     Equal to `expand_capped(factors, cap).coefficient(cap)`, computed by
-    frontier elimination (see the module docstring): after the last factor
-    holding x_u, only terms with x_u at exactly cap[u] survive. Returns 0
-    as soon as no term survives.
+    frontier elimination over packed keys (see the module docstring):
+    after the last factor holding x_u, only terms with x_u at exactly
+    cap[u] survive. Returns 0 as soon as a factor has no term that can
+    fire or no term survives.
     """
-    cap = tuple(cap)
+    # variable u's field as (mask, cap[u], 1), each shifted into place
+    field: dict[int, tuple[int, int, int]] = {}
+    packed_cap = width = 0
+    for u, c in enumerate(cap, start=1):
+        if c:
+            bits = c.bit_length()
+            field[u] = (((1 << bits) - 1) << width, c << width, 1 << width)
+            packed_cap |= c << width
+            width += bits
     order = sorted(factors, key=_frontier_order)
     last: dict[int, int] = {}
+    steps = []
     for pos, factor in enumerate(order):
-        for _, u in factor.terms:
+        # a term on a cap-0 variable can never fire
+        live = [(sign, u) for sign, u in factor.terms if u in field]
+        steps.append([(sign, *field[u]) for sign, u in live])
+        for _, u in live:
             last[u] = pos
-    retiring: list[list[int]] = [[] for _ in order]
+    done_mask = [0] * len(order)
     for u, pos in last.items():
-        retiring[pos].append(u - 1)
-    terms: dict[ExponentVector, int] = {(0,) * len(cap): 1}
-    for factor, done in zip(order, retiring):
-        nxt: dict[ExponentVector, int] = defaultdict(int)
-        for exp, coef in terms.items():
-            for sign, u in factor.terms:
-                i = u - 1
-                if exp[i] < cap[i]:
-                    nxt[exp[:i] + (exp[i] + 1,) + exp[i + 1 :]] += sign * coef
-        if done:
-            retired = itemgetter(*done)
-            full = retired(cap)
-            terms = {e: c for e, c in nxt.items() if c and retired(e) == full}
-        else:
-            terms = {e: c for e, c in nxt.items() if c}
+        done_mask[pos] |= field[u][0]
+    terms: dict[int, int] = {0: 1}
+    for step, mask in zip(steps, done_mask):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, coef in terms.items():
+            for sign, mask_u, cap_u, one in step:
+                if key & mask_u < cap_u:
+                    bumped = key + one
+                    nxt[bumped] = get(bumped, 0) + sign * coef
+        full = packed_cap & mask
+        terms = {k: c for k, c in nxt.items() if c and k & mask == full}
         if not terms:
             return 0
-    return terms.get(cap, 0)
+    return terms.get(packed_cap, 0)
 
 
 def classical_coefficient(D: Orientation) -> int:

@@ -219,6 +219,18 @@ def caterpillar(spine: int, rng: random.Random) -> Orientation:
     return Orientation(2 * spine, frozenset(arcs))
 
 
+def interleaved_star(k: int, pattern: str) -> Orientation:
+    """K1,k among isolated vertices: the centre is vertex 2, leaf i is
+    vertex 2i + 2, and every odd vertex 1..2k+3 is isolated. `pattern`
+    directs the edges "out" of the centre, "in" to it, or "mixed" (out to
+    the odd-numbered leaves, in from the even ones)."""
+    arcs = []
+    for i in range(1, k + 1):
+        outward = pattern == "out" or (pattern == "mixed" and i % 2 == 1)
+        arcs.append((2, 2 * i + 2) if outward else (2 * i + 2, 2))
+    return Orientation(2 * k + 3, frozenset(arcs))
+
+
 def enumerate_orientations(
     G: Graph,
     bound: Optional[int] = None,

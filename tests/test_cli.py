@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wdlab
 from helpers import random_orientation
 from wdlab import Graph, Orientation, additive_coefficient, parse, to_text
 from wdlab.cli import main
@@ -54,6 +60,23 @@ class TestCount:
         code, out, _ = run(capsys, "count", d2_file)
         assert code == 0
         assert out == "ee=2\neo=8\ndifference=-6\n"
+
+    def test_huge_edgeless_header_answers(self, tmp_path):
+        # the one orientation of 200M isolated vertices: the counter touches
+        # no star, so it must answer inside a 512 MiB address space
+        path = tmp_path / "header.txt"
+        path.write_text("200000000\n")
+        limit = 512 << 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(wdlab.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "wdlab.cli", "count", str(path)],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert (done.returncode, done.stdout) == (0, "ee=1\neo=0\ndifference=1\n"), done.stderr
 
     def test_classic_respects_env_bound(self, capsys, d1_file, monkeypatch):
         monkeypatch.setenv("WD_LAB_BOUND", "3")

@@ -10,6 +10,7 @@ from helpers import (
     caterpillar,
     count_orientations_same_outdeg_direct,
     enumerate_orientations,
+    interleaved_star,
     is_acyclic,
     is_balanced,
     naive_ee_eo,
@@ -153,6 +154,14 @@ class TestWdCounter:
         start = time.monotonic()
         assert count_ee_eo_wd(D).difference == additive_coefficient(D)
         assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_field_widths_on_stars(self, k):
+        # star totals on either side of each bit-width step, and stars of
+        # isolated vertices, which get no field, between touched ones
+        for pattern in ("out", "in", "mixed"):
+            D = interleaved_star(k, pattern)
+            assert count_ee_eo_wd(D).difference == additive_coefficient(D)
 
     def test_state_bound(self, d2):
         with pytest.raises(BoundExceededError, match=r"reached 2 balance states.*state bound 1 "):

@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from helpers import caterpillar, evaluate_additive, random_lists, random_orientation
+from helpers import (
+    caterpillar,
+    evaluate_additive,
+    interleaved_star,
+    random_lists,
+    random_orientation,
+)
 from wdlab import (
     LinearFactor,
     Orientation,
@@ -144,6 +150,19 @@ class TestCapCoefficient:
         assert cap_coefficient([], (0, 0)) == 1
         assert cap_coefficient([], (1, 0)) == 0
         assert cap_coefficient([F()], (0,)) == 0
+        # every variable of the second factor has cap 0, so none can fire
+        assert cap_coefficient([F((1, 1)), F((1, 2), (-1, 3))], (1, 0, 0)) == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_field_widths_on_stars(self, k):
+        # caps of k and of 1 on either side of each bit-width step, cap-0
+        # vertices with in-arcs, and isolated vertices between touched ones
+        for pattern in ("out", "in", "mixed"):
+            D = interleaved_star(k, pattern)
+            cap = D.out_degrees()
+            for factors in (additive_factors(D), classical_factors(D)):
+                assert cap_coefficient(factors, cap) == expand_capped(factors, cap).coefficient(cap)
+            assert classical_coefficient(D) == count_ee_eo_classic(D).difference
 
     def test_caterpillar40_pinned(self):
         # the limits probe's caterpillar40: the full expansion runs out of memory
