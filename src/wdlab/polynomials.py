@@ -24,20 +24,22 @@ progress, so the term map grows with the width of that frontier, not with
 the size of the graph: on a directed path of 1200 vertices it never holds
 more than 3 terms.
 
-`cap_coefficient` keys each term by one packed integer, not by an
-exponent vector. Variable u with cap[u] > 0 owns a field of
-cap[u].bit_length() bits, the fields laid out in vertex order from the
-low end, so a field holds any exponent up to its cap and multiplying by
-x_u is one integer add. A cap-0 variable gets no field: its terms can
-never fire and are dropped before the product starts. The cap test and
-the retirement test each mask the key and compare it with the cap
-shifted into place.
+Both engines key each term by one packed integer, not by an exponent
+vector, with one layout (`_bit_fields`). Variable u with cap[u] > 0 owns
+a field of cap[u].bit_length() bits, the fields laid out in vertex order
+from the low end, so a field holds any exponent up to its cap and
+multiplying by x_u is one integer add. A cap-0 variable gets no field:
+its terms can never fire and are dropped before the product starts. The
+cap test masks the key and compares it with the cap shifted into place,
+and so does `cap_coefficient`'s retirement test. A `CappedPolynomial`
+keeps the packed map and each variable's unit; its exponent-vector view
+`terms` is built only when it is first read.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graphs import Orientation
@@ -64,15 +66,42 @@ class LinearFactor:
 
 @dataclass(frozen=True)
 class CappedPolynomial:
-    """Sparse terms within a per-variable exponent cap; no zero entries."""
+    """Sparse terms within a per-variable exponent cap; no zero entries.
+
+    `packed` maps each term's packed key (module docstring) to its
+    coefficient, and `unit[u - 1]` is the key of x_u alone, 0 for a cap-0
+    variable. `terms`, the same map keyed by exponent vectors, is built on
+    first read.
+    """
 
     cap: ExponentVector
-    terms: Mapping[ExponentVector, int]
+    packed: Mapping[int, int]
+    unit: tuple[int, ...]
+
+    @cached_property
+    def terms(self) -> dict[ExponentVector, int]:
+        # a cap-0 variable reads as the empty field at bit 0
+        layout = [
+            (max(one.bit_length() - 1, 0), (1 << c.bit_length()) - 1)
+            for c, one in zip(self.cap, self.unit)
+        ]
+        return {
+            tuple(key >> shift & mask for shift, mask in layout): coef
+            for key, coef in self.packed.items()
+        }
 
     def coefficient(self, exponents: ExponentVector) -> int:
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.cap):
+            raise ValueError(
+                f"exponents {exponents} have {len(exponents)} entries,"
+                f" the cap {self.cap} has {len(self.cap)}"
+            )
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"exponents {exponents} have a negative entry")
         if any(e > c for e, c in zip(exponents, self.cap)):
             raise ValueError(f"exponents {exponents} exceed the cap {self.cap}")
-        return self.terms.get(tuple(exponents), 0)
+        return self.packed.get(sum(e * one for e, one in zip(exponents, self.unit)), 0)
 
 
 def classical_factors(D: Orientation) -> list[LinearFactor]:
@@ -97,6 +126,44 @@ def additive_factors(D: Orientation) -> list[LinearFactor]:
     return factors
 
 
+def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
+    """The packed-key layout for `cap` (see the module docstring).
+
+    Maps each variable u with cap[u] > 0 to its field as (mask, cap[u],
+    1), each shifted into place; a cap-0 variable has no entry.
+    """
+    field: dict[int, tuple[int, int, int]] = {}
+    width = 0
+    for u, c in enumerate(cap, start=1):
+        if c:
+            bits = c.bit_length()
+            field[u] = (((1 << bits) - 1) << width, c << width, 1 << width)
+            width += bits
+    return field
+
+
+def _steps(
+    factors: Sequence[LinearFactor], field: Mapping[int, tuple[int, int, int]]
+) -> list[list[tuple[int, int, int, int]]]:
+    """Each factor's terms as (sign, mask, cap, unit) in the packed layout,
+    without the terms on cap-0 variables, which can never fire."""
+    return [[(sign, *field[u]) for sign, u in factor.terms if u in field] for factor in factors]
+
+
+def _multiply(
+    terms: Mapping[int, int], step: Sequence[tuple[int, int, int, int]]
+) -> dict[int, int]:
+    """Packed terms times one factor, dropping the products past the cap."""
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for key, coef in terms.items():
+        for sign, mask_u, cap_u, one in step:
+            if key & mask_u < cap_u:
+                bumped = key + one
+                nxt[bumped] = get(bumped, 0) + sign * coef
+    return nxt
+
+
 def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> CappedPolynomial:
     """Multiply the factors, discarding terms that overflow the cap.
 
@@ -104,21 +171,15 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
     small; the product does not depend on the order. Every term under the
     cap is kept, with no frontier elimination, so the map can grow with the
     size of the graph; `cap_coefficient` retires variables instead when
-    only the cap term is wanted.
+    only the cap term is wanted. Terms are keyed by packed integers.
     """
     cap = tuple(cap)
-    terms: dict[ExponentVector, int] = {(0,) * len(cap): 1}
-    for factor in sorted(factors, key=LinearFactor.support):
-        nxt: dict[ExponentVector, int] = defaultdict(int)
-        for exp, coef in terms.items():
-            for sign, u in factor.terms:
-                i = u - 1
-                if exp[i] + 1 > cap[i]:
-                    continue
-                bumped = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-                nxt[bumped] += sign * coef
-        terms = {e: c for e, c in nxt.items() if c != 0}
-    return CappedPolynomial(cap, terms)
+    field = _bit_fields(cap)
+    terms: dict[int, int] = {0: 1}
+    for step in _steps(sorted(factors, key=LinearFactor.support), field):
+        terms = {k: c for k, c in _multiply(terms, step).items() if c}
+    unit = tuple(field[u][2] if u in field else 0 for u in range(1, len(cap) + 1))
+    return CappedPolynomial(cap, terms, unit)
 
 
 def _frontier_order(factor: LinearFactor) -> tuple[int, int]:
@@ -134,38 +195,20 @@ def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int
     cap[u] survive. Returns 0 as soon as a factor has no term that can
     fire or no term survives.
     """
-    # variable u's field as (mask, cap[u], 1), each shifted into place
-    field: dict[int, tuple[int, int, int]] = {}
-    packed_cap = width = 0
-    for u, c in enumerate(cap, start=1):
-        if c:
-            bits = c.bit_length()
-            field[u] = (((1 << bits) - 1) << width, c << width, 1 << width)
-            packed_cap |= c << width
-            width += bits
-    order = sorted(factors, key=_frontier_order)
-    last: dict[int, int] = {}
-    steps = []
-    for pos, factor in enumerate(order):
-        # a term on a cap-0 variable can never fire
-        live = [(sign, u) for sign, u in factor.terms if u in field]
-        steps.append([(sign, *field[u]) for sign, u in live])
-        for _, u in live:
-            last[u] = pos
-    done_mask = [0] * len(order)
-    for u, pos in last.items():
-        done_mask[pos] |= field[u][0]
+    field = _bit_fields(cap)
+    packed_cap = sum(cap_u for _, cap_u, _ in field.values())
+    steps = _steps(sorted(factors, key=_frontier_order), field)
+    last: dict[int, int] = {}  # each variable's mask -> its last step
+    for pos, step in enumerate(steps):
+        for _, mask_u, _, _ in step:
+            last[mask_u] = pos
+    done_mask = [0] * len(steps)
+    for mask_u, pos in last.items():
+        done_mask[pos] |= mask_u
     terms: dict[int, int] = {0: 1}
     for step, mask in zip(steps, done_mask):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, coef in terms.items():
-            for sign, mask_u, cap_u, one in step:
-                if key & mask_u < cap_u:
-                    bumped = key + one
-                    nxt[bumped] = get(bumped, 0) + sign * coef
         full = packed_cap & mask
-        terms = {k: c for k, c in nxt.items() if c and k & mask == full}
+        terms = {k: c for k, c in _multiply(terms, step).items() if c and k & mask == full}
         if not terms:
             return 0
     return terms.get(packed_cap, 0)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from wdlab import (
     GammaPath,
     Graph,
+    LinearFactor,
     Orientation,
     SweepReport,
     VertexPartition,
@@ -87,6 +88,27 @@ def odd_cycle_vertex_sets(G: Graph) -> list[frozenset[int]]:
                     cycles.add(frozenset(subset))
                     break
     return sorted(cycles, key=sorted)
+
+
+def expand_capped_tuples(
+    factors: Sequence[LinearFactor], cap: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """The capped product of the factors keyed by exponent vectors, one
+    tuple per term: the oracle for the packed `expand_capped`. Each bump
+    rebuilds the vector; a bump past the cap is dropped."""
+    cap = tuple(cap)
+    terms: dict[tuple[int, ...], int] = {(0,) * len(cap): 1}
+    for factor in sorted(factors, key=LinearFactor.support):
+        nxt: dict[tuple[int, ...], int] = defaultdict(int)
+        for exp, coef in terms.items():
+            for sign, u in factor.terms:
+                i = u - 1
+                if exp[i] + 1 > cap[i]:
+                    continue
+                bumped = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                nxt[bumped] += sign * coef
+        terms = {e: c for e, c in nxt.items() if c != 0}
+    return terms
 
 
 def random_orientation(rng: random.Random, n_min: int = 2, n_max: int = 5,

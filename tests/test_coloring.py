@@ -372,6 +372,23 @@ class TestConjectureSweep:
             checked += 1
             self.assert_same_report(conjecture_sweep(G), sweep_by_orientation(G))
 
+    def test_disconnected_graphs_match_oracle(self):
+        # an isolated vertex has cap 0, so it owns no field of the packed key
+        rng = random.Random(97)
+        graphs = [Graph(0, frozenset()), Graph.of(3, []), Graph.of(6, [(1, 2), (2, 3), (5, 6)])]
+        while len(graphs) < 25:
+            n = rng.randint(2, 7)
+            G = random_graph(rng, n, p=rng.choice((0.2, 0.35)))
+            if not is_connected(n, G.edges) and len(G.edges) <= 8:
+                graphs.append(G)
+        assert sum(any(G.degree(v) == 0 for v in G.vertices()) for G in graphs) >= 10
+        for G in graphs:
+            self.assert_same_report(conjecture_sweep(G), sweep_by_orientation(G))
+        G = graphs[2]
+        for limit in range((1 << len(G.edges)) + 1):
+            self.assert_same_report(
+                conjecture_sweep(G, limit=limit), sweep_by_orientation(G, limit=limit))
+
     @pytest.mark.parametrize("G", [gen_cycle(5), gen_complete_bipartite(2, 2)], ids=["c5", "k22"])
     def test_every_limit_matches_oracle(self, G):
         for limit in range((1 << len(G.edges)) + 1):

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     caterpillar,
     evaluate_additive,
+    expand_capped_tuples,
     interleaved_star,
     random_lists,
     random_orientation,
@@ -86,6 +87,56 @@ class TestExpand:
         with pytest.raises(ValueError):
             poly.coefficient((2,))
 
+    def test_coefficient_rejects_wrong_length(self):
+        poly = expand_capped([F((1, 1), (-1, 2))], (1, 1))
+        for exponents in ((1,), (1, 0, 0), ()):
+            with pytest.raises(ValueError, match="entries"):
+                poly.coefficient(exponents)
+
+    def test_coefficient_rejects_negative_entries(self):
+        # packed, (-1, 1) would read the key of (1, 0)
+        poly = expand_capped([F((1, 1), (-1, 2))], (1, 1))
+        assert poly.coefficient((1, 0)) == 1
+        for exponents in ((-1, 1), (0, -1), (-1, -1)):
+            with pytest.raises(ValueError, match="negative"):
+                poly.coefficient(exponents)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_matches_tuple_oracle(self, k):
+        # one variable capped at k, on either side of a bit-width step, sits
+        # in every factor; the other caps come from the same steps or are 0,
+        # and variables above `used` sit in no factor
+        rng = random.Random(f"expand:{k}")
+        reached = cancelled = 0
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            used = rng.randint(1, n)
+            hot = rng.randint(1, used)
+            cap = [rng.choice((0, 0, 1, 2, 3, 4, 7, 8, 15, 16)) for _ in range(n)]
+            cap[hot - 1] = k
+            cap = tuple(cap)
+            factors = []
+            for _ in range(rng.randint(k - 1, k + 2)):
+                others = rng.sample([u for u in range(1, used + 1) if u != hot],
+                                    rng.randint(0, min(used - 1, 2)))
+                factors.append(F(*((rng.choice((1, -1)), u) for u in [hot] + others)))
+            if factors and factors[-1].support() > 1:
+                # (a + b)(a - b): the cross terms cancel
+                (s, u), *rest = factors[-1].terms
+                factors.append(F((s, u), *((-t, w) for t, w in rest)))
+                cancelled += 1
+            rng.shuffle(factors)
+            want = expand_capped_tuples(factors, cap)
+            poly = expand_capped(factors, cap)
+            assert poly.terms == want
+            for exp, coef in want.items():
+                assert poly.coefficient(exp) == coef
+            for _ in range(20):
+                exp = tuple(rng.randint(0, c) for c in cap)
+                assert poly.coefficient(exp) == want.get(exp, 0)
+            reached += any(exp[hot - 1] == k for exp in want)
+        assert reached >= 10 and cancelled >= 10
+
     def test_cancelled_terms_never_stored(self):
         # (x1 + x2)(x1 - x2): the cross terms cancel and must vanish
         factors = [F((1, 1), (1, 2)), F((1, 1), (-1, 2))]
@@ -132,7 +183,7 @@ class TestCapCoefficient:
             else:
                 cap = [rng.choice((0, 0, 1, 2, m)) for _ in range(n)]
             cap = tuple(cap)
-            want = expand_capped(factors, cap).coefficient(cap)
+            want = expand_capped_tuples(factors, cap).get(cap, 0)
             shuffled = factors[:]
             rng.shuffle(shuffled)
             assert cap_coefficient(factors, cap) == want
@@ -161,7 +212,9 @@ class TestCapCoefficient:
             D = interleaved_star(k, pattern)
             cap = D.out_degrees()
             for factors in (additive_factors(D), classical_factors(D)):
-                assert cap_coefficient(factors, cap) == expand_capped(factors, cap).coefficient(cap)
+                want = expand_capped_tuples(factors, cap).get(tuple(cap), 0)
+                assert cap_coefficient(factors, cap) == want
+                assert expand_capped(factors, cap).coefficient(cap) == want
             assert classical_coefficient(D) == count_ee_eo_classic(D).difference
 
     def test_caterpillar40_pinned(self):
