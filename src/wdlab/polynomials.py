@@ -143,11 +143,24 @@ def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
 
 
 def _steps(
-    factors: Sequence[LinearFactor], field: Mapping[int, tuple[int, int, int]]
+    factors: Sequence[LinearFactor], field: Mapping[int, tuple[int, int, int]], n: int
 ) -> list[list[tuple[int, int, int, int]]]:
     """Each factor's terms as (sign, mask, cap, unit) in the packed layout,
-    without the terms on cap-0 variables, which can never fire."""
-    return [[(sign, *field[u]) for sign, u in factor.terms if u in field] for factor in factors]
+    without the terms on cap-0 variables, which can never fire.
+
+    Raises ValueError for a term on a variable outside x_1..x_n, which the
+    n-entry cap does not cover.
+    """
+    steps = []
+    for factor in factors:
+        step = []
+        for sign, u in factor.terms:
+            if u in field:
+                step.append((sign, *field[u]))
+            elif not 1 <= u <= n:
+                raise ValueError(f"factor term on x_{u} lies outside x_1..x_{n} of the cap")
+        steps.append(step)
+    return steps
 
 
 def _multiply(
@@ -172,11 +185,13 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
     cap is kept, with no frontier elimination, so the map can grow with the
     size of the graph; `cap_coefficient` retires variables instead when
     only the cap term is wanted. Terms are keyed by packed integers.
+    Raises ValueError for a factor term on a variable outside x_1..x_n,
+    where n = len(cap).
     """
     cap = tuple(cap)
     field = _bit_fields(cap)
     terms: dict[int, int] = {0: 1}
-    for step in _steps(sorted(factors, key=LinearFactor.support), field):
+    for step in _steps(sorted(factors, key=LinearFactor.support), field, len(cap)):
         terms = {k: c for k, c in _multiply(terms, step).items() if c}
     unit = tuple(field[u][2] if u in field else 0 for u in range(1, len(cap) + 1))
     return CappedPolynomial(cap, terms, unit)
@@ -193,11 +208,12 @@ def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int
     frontier elimination over packed keys (see the module docstring):
     after the last factor holding x_u, only terms with x_u at exactly
     cap[u] survive. Returns 0 as soon as a factor has no term that can
-    fire or no term survives.
+    fire or no term survives. Raises ValueError for a factor term on a
+    variable outside x_1..x_n, where n = len(cap).
     """
     field = _bit_fields(cap)
     packed_cap = sum(cap_u for _, cap_u, _ in field.values())
-    steps = _steps(sorted(factors, key=_frontier_order), field)
+    steps = _steps(sorted(factors, key=_frontier_order), field, len(cap))
     last: dict[int, int] = {}  # each variable's mask -> its last step
     for pos, step in enumerate(steps):
         for _, mask_u, _, _ in step:

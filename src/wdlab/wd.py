@@ -13,16 +13,20 @@ target is a neighbor of w but not of v or v itself (detour). The spanning
 Eulerian subdigraphs of W(D) are exactly the unions of edge-disjoint
 gamma-paths whose star in/out traffic balances, which is what makes the
 structured counters in `eulerian` possible. The same fact defines the
-digraph here: `gamma_paths_for_arc` is the one place that spells out a
-sector, the arcs of W(D) are the union of every gamma-path's edges, and
-the decomposition is read off the same paths. No sector is stored; a
-sector is its arc's gamma-paths without their star arcs.
+digraph here: the private `_sector` is the one place that spells out a
+sector, as its entry arc plus the rest of each target's path. The public
+`gamma_paths_for_arc` turns it into `GammaPath`s, and the decomposition is
+read off those paths. `build_wd` flattens the same sectors straight into
+one arc list, making each star once and no `GammaPath` at all, so the arcs
+of W(D) are the union of every gamma-path's edges by construction. No
+sector is stored; a sector is its arc's gamma-paths without their star
+arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .graphs import Orientation, symmetric_difference_neighborhoods
 
@@ -96,42 +100,65 @@ class GammaPath:
         return len(self.edges) % 2 == 1
 
 
-def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
-    """All gamma-paths of one sector, targets ascending.
+def _sector(
+    D: Orientation, arc: tuple[int, int], star: Callable[[int], Star]
+) -> tuple[WArc, list[tuple[int, tuple[WArc, ...]]]]:
+    """The one place that spells out the shape of a sector.
 
-    The only place that spells out the shape of a sector: every path enters
-    at the root copy of v from v*, steps to the copy of its target x (through
-    y^{vw}_x for a detour target) and exits to x*. The sector's own source v
-    is never a target, though its copy is the root.
+    Returns the entry arc v* -> v^{vw}, shared by every gamma-path of the
+    sector, and, for each target x ascending, x with the rest of its path:
+    the step to the copy of x (through y^{vw}_x for a detour target) and
+    the exit to x*. The sector's own source v is never a target, though its
+    copy is the root. `star(x)` supplies the star of x, so a caller that
+    builds many sectors can make each star once.
     """
     v, _ = arc
     direct, detour = symmetric_difference_neighborhoods(D, *arc)
     root = SectorX(arc, v)
-    entry = (Star(v), root)
-    paths = []
+    rests = []
     for x in sorted(direct | detour):
         copy = SectorX(arc, x)
         if x in direct:
-            edges = (entry, (root, copy), (copy, Star(x)))
+            rests.append((x, ((root, copy), (copy, star(x)))))
         else:
             y = SectorY(arc, x)
-            edges = (entry, (root, y), (y, copy), (copy, Star(x)))
-        paths.append(GammaPath(arc, x, edges))
-    return paths
+            rests.append((x, ((root, y), (y, copy), (copy, star(x)))))
+    return (star(v), root), rests
+
+
+def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
+    """All gamma-paths of one sector, targets ascending.
+
+    Every path enters at the root copy of v from v*, steps to the copy of
+    its target x (through y^{vw}_x for a detour target) and exits to x*;
+    `_sector` spells this out.
+    """
+    entry, rests = _sector(D, arc, Star)
+    return [GammaPath(arc, x, (entry, *rest)) for x, rest in rests]
 
 
 def build_wd(D: Orientation) -> WDigraph:
-    """Assemble the full derived digraph from its gamma-paths.
+    """Assemble the full derived digraph sector by sector.
 
     The arcs are the union of every gamma-path's edges: stars feed the root
     of every sector they name, and every non-root vertex copy x^{vw} exits
-    to the star of x. The vertices are the stars plus the endpoints of those
-    arcs. Sectors of distinct arcs share no vertices, so all structure
+    to the star of x. Each sector comes from `_sector`, the one place that
+    spells one out, with every star made once for the whole digraph; its
+    entry arc is taken once and the rest of each path after it, so the arc
+    list holds no duplicates and no `GammaPath` is made. Every non-star
+    vertex is the tail of an arc, so the vertices are the stars plus the
+    arc tails. Sectors of distinct arcs share no vertices, so all structure
     shared between arcs goes through stars.
     """
-    arcs = frozenset(e for p in all_gamma_paths(D) for e in p.edges)
-    vertices = frozenset(Star(x) for x in D.vertices()) | {u for e in arcs for u in e}
-    return WDigraph(D, vertices, arcs)
+    stars = {x: Star(x) for x in D.vertices()}
+    arcs: list[WArc] = []
+    for arc in D.arcs:
+        entry, rests = _sector(D, arc, stars.__getitem__)
+        arcs.append(entry)
+        for _, rest in rests:
+            arcs.extend(rest)
+    vertices = frozenset(stars.values()).union([tail for tail, _ in arcs])
+    return WDigraph(D, vertices, frozenset(arcs))
 
 
 def all_gamma_paths(D: Orientation) -> list[GammaPath]:

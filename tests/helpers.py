@@ -22,9 +22,12 @@ from wdlab import (
     Graph,
     LinearFactor,
     Orientation,
+    Star,
     SweepReport,
     VertexPartition,
+    WDigraph,
     additive_coefficient,
+    all_gamma_paths,
     gamma_paths_for_arc,
 )
 from wdlab.coloring import _additive_colorings
@@ -289,6 +292,14 @@ def gamma_path(D: Orientation, arc: tuple[int, int], x: int) -> GammaPath:
         if p.target == x:
             return p
     raise ValueError(f"vertex {x} is not a target of the {arc[0]}>{arc[1]} sector")
+
+
+def build_wd_from_paths(D: Orientation) -> WDigraph:
+    """W(D) path by path: the stars plus every endpoint of the union of
+    every gamma-path's edges, the definition `build_wd` must match."""
+    arcs = frozenset(e for p in all_gamma_paths(D) for e in p.edges)
+    vertices = frozenset(Star(x) for x in D.vertices()) | {u for e in arcs for u in e}
+    return WDigraph(D, vertices, arcs)
 
 
 def evaluate_additive(D: Orientation, assignment: Mapping[int, int]) -> int:

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import wdlab
-from helpers import random_orientation
+from helpers import build_wd_from_paths, random_orientation
 from wdlab import Graph, Orientation, additive_coefficient, parse, to_text
 from wdlab.cli import main
+from wdlab.wd import warc_key
 
 D1_TEXT = "4\n1 -> 2\n1 -> 3\n2 -> 4\n3 -> 2\n"
 D2_TEXT = "4\n1 -> 3\n2 -> 1\n3 -> 2\n3 -> 4\n4 -> 1\n"
@@ -193,6 +194,24 @@ class TestBuildWd:
         path.write_text("3\n")
         code, out, _ = run(capsys, "build-wd", str(path), "--json")
         assert code == 0 and out == '{"vertices":3,"arcs":0,"sectors":0}\n'
+
+    def test_matches_union_of_paths(self, capsys, tmp_path, d1, d2, d3):
+        # stdout is byte-identical to the rendering of the path-union oracle
+        rng = random.Random(47)
+        D10 = random_orientation(rng, n_min=10, n_max=10)
+        assert D10.n == 10 and D10.arcs
+        path = tmp_path / "d.dg"
+        for D in (d1, d2, d3, D10):
+            oracle = build_wd_from_paths(D)
+            summary = json.dumps(
+                {"vertices": len(oracle.vertices), "arcs": len(oracle.arcs), "sectors": len(D.arcs)},
+                separators=(",", ":"),
+            )
+            lines = [str(len(oracle.vertices))]
+            lines += [f"{a} -> {b}" for a, b in sorted(oracle.arcs, key=warc_key)]
+            path.write_text(to_text(D))
+            assert run(capsys, "build-wd", str(path)) == (0, "\n".join(lines + [summary]) + "\n", "")
+            assert run(capsys, "build-wd", str(path), "--json") == (0, summary + "\n", "")
 
 
 class TestColor:

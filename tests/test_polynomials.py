@@ -204,6 +204,26 @@ class TestCapCoefficient:
         # every variable of the second factor has cap 0, so none can fire
         assert cap_coefficient([F((1, 1)), F((1, 2), (-1, 3))], (1, 0, 0)) == 0
 
+    @pytest.mark.parametrize("engine", ["expand_capped", "cap_coefficient"])
+    def test_variable_outside_cap_rejected(self, engine):
+        # u = 0 and u = n + 1, on a capped and on a cap-0 neighbour, are
+        # named, never dropped
+        run, in_range = {
+            "expand_capped": (lambda factors, cap: expand_capped(factors, cap).terms, {(1, 1): 1}),
+            "cap_coefficient": (cap_coefficient, 1),
+        }[engine]
+        for cap in ((1, 1), (1, 0)):
+            for u in (0, 3):
+                factors = [F((1, u), (1, 1)), F((1, 1))]
+                with pytest.raises(ValueError, match=f"x_{u} lies outside x_1..x_2"):
+                    run(factors, cap)
+        with pytest.raises(ValueError, match="x_3"):
+            run([F((1, 3)), F((1, 1))], (1, 1))
+        with pytest.raises(ValueError, match="x_1 lies outside x_1..x_0"):
+            run([F((1, 1))], ())
+        # in range, the same factors still expand
+        assert run([F((1, 2), (1, 1)), F((1, 1))], (1, 1)) == in_range
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16])
     def test_field_widths_on_stars(self, k):
         # caps of k and of 1 on either side of each bit-width step, cap-0

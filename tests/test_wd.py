@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import gamma_path, random_orientation
+from helpers import build_wd_from_paths, gamma_path, random_graph, random_orientation
 from wdlab import (
     Orientation,
     SectorX,
@@ -15,6 +15,7 @@ from wdlab import (
     build_wd,
     decompose_into_gamma_paths,
     gamma_paths_for_arc,
+    gen_sun,
     symmetric_difference_neighborhoods,
 )
 
@@ -28,6 +29,28 @@ def sector(D, arc):
     gamma-paths, without their star arcs, and the endpoints of those."""
     arcs = frozenset(e for p in gamma_paths_for_arc(D, arc) for e in p.edges[1:-1])
     return frozenset(u for e in arcs for u in e), arcs
+
+
+def oracle_corpus(d1, d2, d3) -> list[Orientation]:
+    """d1-d3, suns, directed and randomly oriented paths and cycles up to
+    120 vertices, 200 seeded G(n, p) orientations and the arcless ones."""
+    rng = random.Random(23)
+    corpus = [d1, d2, d3, gen_sun(3), gen_sun(4)]
+    corpus += [Orientation(0, frozenset()), Orientation(3, frozenset())]
+
+    def orient(n, edges):
+        return Orientation(n, frozenset(e if rng.random() < 0.5 else e[::-1] for e in edges))
+
+    for n in (2, 3, 7, 20, 44, 81, 120):
+        path = [(i, i + 1) for i in range(1, n)]
+        corpus += [Orientation(n, frozenset(path)), orient(n, path)]
+        if n >= 3:
+            cycle = path + [(n, 1)]
+            corpus += [Orientation(n, frozenset(cycle)), orient(n, cycle)]
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        corpus.append(orient(n, sorted(random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))).edges)))
+    return corpus
 
 
 class TestBuildSector:
@@ -177,7 +200,8 @@ class TestBuildWd:
 
     def test_size_formulas(self, d1, d2, d3):
         rng = random.Random(9)
-        for D in [d1, d2, d3] + [random_orientation(rng) for _ in range(20)]:
+        corpus = oracle_corpus(d1, d2, d3) + [random_orientation(rng) for _ in range(20)]
+        for D in corpus:
             wd = build_wd(D)
             v_total, e_total = D.n, 0
             for v, w in D.arcs:
@@ -186,6 +210,16 @@ class TestBuildWd:
                 e_total += 2 * len(direct) + 3 * len(detour) + 1
             assert len(wd.vertices) == v_total
             assert len(wd.arcs) == e_total
+
+    def test_matches_union_of_paths(self, d1, d2, d3):
+        corpus = oracle_corpus(d1, d2, d3)
+        # some G(n, p) orientations have arcs and an isolated vertex
+        assert any(D.arcs and any(not D.neighbors(v) for v in D.vertices()) for D in corpus)
+        for D in corpus:
+            wd, oracle = build_wd(D), build_wd_from_paths(D)
+            assert wd.source == D
+            assert wd.vertices == oracle.vertices
+            assert wd.arcs == oracle.arcs
 
 
 class TestGammaPaths:
