@@ -38,7 +38,7 @@ from .graphs import (
     to_text,
 )
 from .polynomials import additive_coefficient, classical_coefficient
-from .wd import build_wd, warc_key
+from .wd import build_wd, warc_key, wd_size
 
 
 def _dump(obj) -> str:
@@ -85,15 +85,13 @@ def _load_graph(path: str) -> Graph:
 
 def _cmd_build_wd(args) -> int:
     D = _load_orientation(args.file)
-    wd = build_wd(D)
-    summary = {"vertices": len(wd.vertices), "arcs": len(wd.arcs), "sectors": len(D.arcs)}
-    if args.json:
-        print(_dump(summary))
-        return 0
-    print(len(wd.vertices))
-    for a, b in sorted(wd.arcs, key=warc_key):
-        print(f"{a} -> {b}")
-    print(_dump(summary))
+    vertices, arcs = wd_size(D)
+    if not args.json:
+        # only the listing needs W(D) itself; the counts come from its size
+        print(vertices)
+        for a, b in sorted(build_wd(D).arcs, key=warc_key):
+            print(f"{a} -> {b}")
+    print(_dump({"vertices": vertices, "arcs": arcs, "sectors": len(D.arcs)}))
     return 0
 
 

@@ -16,12 +16,11 @@ All counts are exact Python integers; nothing here can overflow.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
 from .errors import BoundExceededError
-from .graphs import Orientation, symmetric_difference_neighborhoods
+from .graphs import Orientation
 
 #: Largest arc count for which subset enumeration is allowed by default.
 DEFAULT_EULERIAN_BOUND = 24
@@ -74,41 +73,83 @@ def enumerate_eulerian_spanning(H, bound: Optional[int] = None) -> Iterator[tupl
     each arc before taking it. Subsets need not be connected. Pruning uses
     per-vertex remaining in/out capacity, so only prefixes that can still
     balance are explored; the yielded set is exactly the balanced subsets.
+    The walk is one loop over an explicit stack of choices, so its depth
+    is not limited by the interpreter's recursion limit.
     """
     arcs = _arc_list(H)
+    _check_bound(len(arcs), bound)
+    return _balanced_subsets(arcs)
+
+
+def _balanced_subsets(arcs: list[Arc]) -> Iterator[tuple[Arc, ...]]:
+    """The walk of `enumerate_eulerian_spanning` over a checked arc list.
+
+    Vertex z is feasible while -rem_out(z) <= bal(z) <= rem_in(z), counting
+    the arcs not yet decided. Every vertex is feasible at every node the
+    walk enters, and deciding an arc (v, w) moves only one end of one
+    bound at v and at w. So skipping it needs only bal(v) >= -rem_out(v)
+    and bal(w) <= rem_in(w), and taking it only bal(v) <= rem_in(v) and
+    bal(w) >= -rem_out(w), each read after the move.
+    """
     m = len(arcs)
-    _check_bound(m, bound)
-    rem_out = Counter(a[0] for a in arcs)
-    rem_in = Counter(a[1] for a in arcs)
-    bal: Counter = Counter()
+    index: dict[Hashable, int] = {}
+    ends = [(index.setdefault(v, len(index)), index.setdefault(w, len(index))) for v, w in arcs]
+    rem_out = [0] * len(index)
+    rem_in = [0] * len(index)
+    for v, w in ends:
+        rem_out[v] += 1
+        rem_in[w] += 1
+    bal = [0] * len(index)
+    taken: list[bool] = []  # the choice made at each decided arc
     chosen: list[Arc] = []
-
-    def feasible(z) -> bool:
-        return bal[z] <= rem_in[z] and -bal[z] <= rem_out[z]
-
-    def rec(i: int) -> Iterator[tuple[Arc, ...]]:
-        if i == m:
+    i = 0
+    while True:
+        # descend, skipping where the skip is feasible and taking otherwise
+        while i < m:
+            v, w = ends[i]
+            rem_out[v] -= 1
+            rem_in[w] -= 1
+            if bal[v] >= -rem_out[v] and bal[w] <= rem_in[w]:
+                taken.append(False)
+            else:
+                bal[v] += 1
+                bal[w] -= 1
+                if bal[v] <= rem_in[v] and bal[w] >= -rem_out[w]:
+                    taken.append(True)
+                    chosen.append(arcs[i])
+                else:
+                    bal[v] -= 1
+                    bal[w] += 1
+                    rem_out[v] += 1
+                    rem_in[w] += 1
+                    break
+            i += 1
+        else:
             # feasibility at the final incident arc of each vertex forces
             # every balance to zero here
             yield tuple(chosen)
+        # back up to the deepest skipped arc that can still be taken
+        while i:
+            i -= 1
+            v, w = ends[i]
+            if taken.pop():
+                chosen.pop()
+                bal[v] -= 1
+                bal[w] += 1
+            else:
+                bal[v] += 1
+                bal[w] -= 1
+                if bal[v] <= rem_in[v] and bal[w] >= -rem_out[w]:
+                    taken.append(True)
+                    chosen.append(arcs[i])
+                    i += 1
+                    break
+                bal[v] -= 1
+                bal[w] += 1
+            rem_out[v] += 1
+            rem_in[w] += 1
+        else:
             return
-        v, w = arcs[i]
-        rem_out[v] -= 1
-        rem_in[w] -= 1
-        if feasible(v) and feasible(w):
-            yield from rec(i + 1)
-        bal[v] += 1
-        bal[w] -= 1
-        if feasible(v) and feasible(w):
-            chosen.append(arcs[i])
-            yield from rec(i + 1)
-            chosen.pop()
-        bal[v] -= 1
-        bal[w] += 1
-        rem_out[v] += 1
-        rem_in[w] += 1
-
-    return rec(0)
 
 
 def count_ee_eo_bruteforce(H, bound: Optional[int] = None) -> EulerianCount:
@@ -136,12 +177,18 @@ def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, 
 
     Arcs are sorted by the largest star they touch (their tail or a
     target), then by their number of targets, so that every star's
-    remaining capacity runs out early and pins its balance to zero.
+    remaining capacity runs out early and pins its balance to zero. The
+    targets split N(v) symm-diff N(w) as `symmetric_difference_neighborhoods`
+    does, read straight off the two neighbourhoods: every arc comes from D,
+    so that function's arc check has nothing to reject here.
     """
+    neighbors = D.neighbors
     plan = []
     for v, w in D.sorted_arcs():
-        direct, detour = symmetric_difference_neighborhoods(D, v, w)
-        plan.append((v, tuple(sorted(direct)), tuple(sorted(detour))))
+        nv, nw = neighbors(v), neighbors(w)
+        detour = sorted(nw - nv)
+        detour.remove(v)  # v is in N(w) but is never a target
+        plan.append((v, tuple(sorted(nv - nw)), tuple(detour)))
     return sorted(plan, key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
 
 
@@ -176,31 +223,50 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
     guard bit of exactly the targets above their new upper end, which one
     mask then reads for all of them at once.
 
+    On sparse inputs a level holds about two states, so the fixed work per
+    arc sets the cost, and it is kept to plain loops: the plan reads N(v)
+    and N(w) once per arc, the star totals and bounds are dicts over the
+    stars the plan touches, and one loop over an arc's targets builds its
+    choices, the guard-bit map of forced choices, the guard mask and the
+    probe. Each star's lower and upper field bounds are kept in its place
+    and move by one unit when an arc leaves or enters it.
+
     Raises BoundExceededError once one level holds more than `bound`
     states (default DEFAULT_WD_STATE_BOUND).
     """
     limit = DEFAULT_WD_STATE_BOUND if bound is None else bound
     plan = _wd_arc_plan(D)
-    rem_out = Counter(v for v, _, _ in plan)
-    rem_in = Counter(x for _, direct, detour in plan for x in direct + detour)
-    # the field layout, its bias and the guard bits are in the docstring
-    out_total = rem_out.copy()
+    # paths out of and into each star the plan touches; no other star gets
+    # an entry, so nothing here is per vertex
+    out_total: dict[int, int] = {}
+    in_total: dict[int, int] = {}
+    for v, direct, detour in plan:
+        out_total[v] = out_total.get(v, 0) + 1
+        for x in direct + detour:
+            in_total[x] = in_total.get(x, 0) + 1
+    # the field layout, its bias and the guard bits are in the docstring;
+    # low[z] and high[z] hold the bounds of star z's field, in z's place,
+    # for the arcs not yet taken: (out_total - rem_out) and (out_total +
+    # rem_in) times one[z], where rem_out and rem_in count those arcs
     field: dict[int, int] = {}
     one: dict[int, int] = {}
     guard: dict[int, int] = {}
+    low: dict[int, int] = {}
+    high: dict[int, int] = {}
     zero = width = 0
-    for z in sorted(rem_out.keys() | rem_in.keys()):
-        bits = (rem_out[z] + rem_in[z]).bit_length()
+    for z in sorted(out_total.keys() | in_total.keys()):
+        out_z = out_total.get(z, 0)
+        span = out_z + in_total.get(z, 0)
+        bits = span.bit_length()
         one[z] = 1 << width
         field[z] = ((1 << bits) - 1) << width
         guard[z] = 1 << (width + bits)
-        zero |= rem_out[z] << width
+        low[z] = 0
+        high[z] = span << width
+        zero |= out_z << width
         width += bits + 1
     level: dict[int, list[int]] = {zero: [1, 0]}
     for v, direct, detour in plan:
-        rem_out[v] -= 1
-        for x in direct + detour:
-            rem_in[x] -= 1
         # Every state was feasible before this arc, and the arc lowers only
         # v's out-capacity and each target's in-capacity by one. So v stays
         # feasible unless it sits at the new lower end minus one, where only
@@ -208,18 +274,21 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
         # sits at its new upper end plus one, where only choosing it saves it.
         # Star z's field reads balance + out_total(z), so each balance bound
         # is a compare of the masked key against a constant in z's place.
-        v_field, v_out = field[v], out_total[v]
-        v_low = (v_out - rem_out[v]) * one[v]
-        v_high = (v_out + rem_in[v]) * one[v]
-        arc_targets = direct + detour
-        choices = [
-            (field[x], (out_total[x] - rem_out[x]) * one[x], one[v] - one[x], x in direct)
-            for x in arc_targets
-        ]
-        forced = {guard[x]: choice for x, choice in zip(arc_targets, choices)}
-        guards = sum(forced)
-        # key + probe sets x's guard bit exactly when x is above its new upper end
-        probe = sum(guard[x] - (out_total[x] + rem_in[x] + 1) * one[x] for x in arc_targets)
+        v_one, v_field, v_high = one[v], field[v], high[v]
+        v_low = low[v] = low[v] + v_one
+        choices = []
+        forced = {}
+        guards = probe = 0
+        for x in direct + detour:
+            x_one = one[x]
+            x_high = high[x] = high[x] - x_one
+            choice = (field[x], low[x], v_one - x_one, x in direct)
+            choices.append(choice)
+            x_guard = guard[x]
+            forced[x_guard] = choice
+            guards |= x_guard
+            # key + probe sets x's guard bit exactly when x is above its new upper end
+            probe += x_guard - x_high - x_one
         nxt: dict[int, list[int]] = {}
         get = nxt.get
         for key, (even, odd) in level.items():

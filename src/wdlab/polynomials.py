@@ -49,16 +49,22 @@ ExponentVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LinearFactor:
-    """Signed sum of distinct variables: terms are (sign, vertex) pairs."""
+    """Signed sum of distinct variables: terms are (sign, vertex) pairs.
+
+    Construction checks that no variable repeats and that every sign is +1
+    or -1, with one set comprehension and one loop over the terms: the
+    coefficient route makes one factor per arc, so this runs once per arc.
+    """
 
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ids = [u for _, u in self.terms]
-        if len(set(ids)) != len(ids):
+        terms = self.terms
+        if len({u for _, u in terms}) != len(terms):
             raise ValueError("repeated variable inside a factor")
-        if any(s not in (1, -1) for s, _ in self.terms):
-            raise ValueError("signs must be +1 or -1")
+        for s, _ in terms:
+            if s != 1 and s != -1:
+                raise ValueError("signs must be +1 or -1")
 
     def support(self) -> int:
         return len(self.terms)
@@ -119,10 +125,9 @@ def additive_factors(D: Orientation) -> list[LinearFactor]:
     factors = []
     for v, w in D.sorted_arcs():
         nv, nw = D.neighbors(v), D.neighbors(w)
-        plus = tuple((1, u) for u in sorted(nw - nv))
-        minus = tuple((-1, u) for u in sorted(nv - nw))
-        assert plus or minus
-        factors.append(LinearFactor(plus + minus))
+        terms = [(1, u) for u in sorted(nw - nv)] + [(-1, u) for u in sorted(nv - nw)]
+        assert terms
+        factors.append(LinearFactor(tuple(terms)))
     return factors
 
 

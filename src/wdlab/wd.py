@@ -20,7 +20,8 @@ read off those paths. `build_wd` flattens the same sectors straight into
 one arc list, making each star once and no `GammaPath` at all, so the arcs
 of W(D) are the union of every gamma-path's edges by construction. No
 sector is stored; a sector is its arc's gamma-paths without their star
-arcs.
+arcs. `wd_size` counts the vertices and arcs of W(D) from the size of
+each sector, without building any of it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .graphs import Orientation, symmetric_difference_neighborhoods
+from .graphs import Orientation
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,23 @@ def _sector(
     the exit to x*. The sector's own source v is never a target, though its
     copy is the root. `star(x)` supplies the star of x, so a caller that
     builds many sectors can make each star once.
+
+    The targets are N(v) symm-diff N(w) without v, read off the two
+    neighbourhoods once: x in N(v) is direct, any other x a detour, the
+    split of `symmetric_difference_neighborhoods`. Raises ValueError when
+    `arc` is not an arc of D.
     """
-    v, _ = arc
-    direct, detour = symmetric_difference_neighborhoods(D, *arc)
+    v, w = arc
+    if arc not in D.arcs:
+        raise ValueError(f"({v}, {w}) is not an arc")
+    nv, nw = D.neighbors(v), D.neighbors(w)
     root = SectorX(arc, v)
     rests = []
-    for x in sorted(direct | detour):
+    for x in sorted(nv ^ nw):
+        if x == v:
+            continue
         copy = SectorX(arc, x)
-        if x in direct:
+        if x in nv:
             rests.append((x, ((root, copy), (copy, star(x)))))
         else:
             y = SectorY(arc, x)
@@ -159,6 +169,24 @@ def build_wd(D: Orientation) -> WDigraph:
             arcs.extend(rest)
     vertices = frozenset(stars.values()).union([tail for tail, _ in arcs])
     return WDigraph(D, vertices, frozenset(arcs))
+
+
+def wd_size(D: Orientation) -> tuple[int, int]:
+    """(|V|, |A|) of W(D), counted from the sectors without building them.
+
+    A sector whose arc has d direct and e detour targets holds its root,
+    d + e copies and e waypoints, and its arcs are the entry arc, two per
+    direct path and three per detour path. So |V| = n + sum(1 + d + 2e)
+    and |A| = sum(1 + 2d + 3e) over the arcs of D.
+    """
+    vertices, arcs = D.n, 0
+    for v, w in D.arcs:
+        nv, nw = D.neighbors(v), D.neighbors(w)
+        direct = len(nv - nw)
+        detour = len(nw - nv) - 1  # v is in N(w) but is never a target
+        vertices += 1 + direct + 2 * detour
+        arcs += 1 + 2 * direct + 3 * detour
+    return vertices, arcs
 
 
 def all_gamma_paths(D: Orientation) -> list[GammaPath]:

@@ -244,6 +244,52 @@ def caterpillar(spine: int, rng: random.Random) -> Orientation:
     return Orientation(2 * spine, frozenset(arcs))
 
 
+def gnp_orientation(name: str, n: int) -> Orientation:
+    """Seeded G(n, 0.3) orientation: random.Random(name) decides each pair
+    u < v in order, an orientation coin first and then the 0.3 edge coin,
+    the recipe of the benchmark's dense limit cases (e.g. "wd:g14:a")."""
+    rng = random.Random(name)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.3]
+    return Orientation(n, frozenset(arcs))
+
+
+def enumerate_eulerian_recursive(H) -> Iterator[tuple]:
+    """Balanced arc subsets by the plain recursive include/exclude walk,
+    skip before take, pruned on remaining capacity: the order the library's
+    explicit loop must reproduce."""
+    arcs = _arc_list(H)
+    rem_out = Counter(a[0] for a in arcs)
+    rem_in = Counter(a[1] for a in arcs)
+    bal: Counter = Counter()
+    chosen: list = []
+
+    def feasible(z) -> bool:
+        return bal[z] <= rem_in[z] and -bal[z] <= rem_out[z]
+
+    def rec(i: int) -> Iterator[tuple]:
+        if i == len(arcs):
+            yield tuple(chosen)
+            return
+        v, w = arcs[i]
+        rem_out[v] -= 1
+        rem_in[w] -= 1
+        if feasible(v) and feasible(w):
+            yield from rec(i + 1)
+        bal[v] += 1
+        bal[w] -= 1
+        if feasible(v) and feasible(w):
+            chosen.append(arcs[i])
+            yield from rec(i + 1)
+            chosen.pop()
+        bal[v] -= 1
+        bal[w] += 1
+        rem_out[v] += 1
+        rem_in[w] += 1
+
+    return rec(0)
+
+
 def interleaved_star(k: int, pattern: str) -> Orientation:
     """K1,k among isolated vertices: the centre is vertex 2, leaf i is
     vertex 2i + 2, and every odd vertex 1..2k+3 is isolated. `pattern`

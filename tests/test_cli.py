@@ -41,6 +41,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_512_mib(tmp_path, text: str, *argv) -> subprocess.CompletedProcess:
+    """`wd-lab <argv> <file holding text>` in a child whose address space
+    is capped at 512 MiB."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    limit = 512 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(wdlab.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "wdlab.cli", *argv, str(path)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+
+
 class TestCount:
     def test_wd_json_exact(self, capsys, d1_file):
         code, out, _ = run(capsys, "count", d1_file, "--wd", "--json")
@@ -65,18 +82,7 @@ class TestCount:
     def test_huge_edgeless_header_answers(self, tmp_path):
         # the one orientation of 200M isolated vertices: the counter touches
         # no star, so it must answer inside a 512 MiB address space
-        path = tmp_path / "header.txt"
-        path.write_text("200000000\n")
-        limit = 512 << 20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(wdlab.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "wdlab.cli", "count", str(path)],
-            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-        )
+        done = run_in_512_mib(tmp_path, "200000000\n", "count")
         assert (done.returncode, done.stdout) == (0, "ee=1\neo=0\ndifference=1\n"), done.stderr
 
     def test_classic_respects_env_bound(self, capsys, d1_file, monkeypatch):
@@ -118,6 +124,14 @@ class TestCount:
         assert code == 0
         count = json.loads(out)
         assert int(count["ee"]) - int(count["eo"]) == additive_coefficient(parse(path.read_text()))
+
+    def test_classic_long_directed_path_needs_no_recursion(self, capsys, tmp_path, monkeypatch):
+        # 1199 arcs under a raised bound: the enumeration is a loop, so its
+        # depth is not the interpreter's recursion limit
+        path = tmp_path / "path1200.dg"
+        path.write_text("1200\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1, 1200)))
+        monkeypatch.setenv("WD_LAB_BOUND", "5000")
+        assert run(capsys, "count", str(path), "--classic") == (0, "ee=1\neo=0\ndifference=1\n", "")
 
     def test_wd_state_bound_exits_2(self, capsys, d2_file, monkeypatch):
         monkeypatch.setattr("wdlab.eulerian.DEFAULT_WD_STATE_BOUND", 1)
@@ -194,6 +208,12 @@ class TestBuildWd:
         path.write_text("3\n")
         code, out, _ = run(capsys, "build-wd", str(path), "--json")
         assert code == 0 and out == '{"vertices":3,"arcs":0,"sectors":0}\n'
+
+    def test_huge_edgeless_header_json_answers(self, tmp_path):
+        # --json counts W(D) by its size formulas, so 200M stars are never made
+        done = run_in_512_mib(tmp_path, "200000000\n", "build-wd", "--json")
+        expected = '{"vertices":200000000,"arcs":0,"sectors":0}\n'
+        assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
     def test_matches_union_of_paths(self, capsys, tmp_path, d1, d2, d3):
         # stdout is byte-identical to the rendering of the path-union oracle

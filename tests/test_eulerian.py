@@ -9,7 +9,9 @@ import pytest
 from helpers import (
     caterpillar,
     count_orientations_same_outdeg_direct,
+    enumerate_eulerian_recursive,
     enumerate_orientations,
+    gnp_orientation,
     interleaved_star,
     is_acyclic,
     is_balanced,
@@ -29,7 +31,10 @@ from wdlab import (
     decompose_into_gamma_paths,
     enumerate_eulerian_spanning,
     gamma_paths_for_arc,
+    gen_sun,
+    symmetric_difference_neighborhoods,
 )
+from wdlab.eulerian import _wd_arc_plan
 
 THREE_CYCLE = [(1, 2), (2, 3), (3, 1)]
 TWO_TWO_CYCLES = [(1, 2), (2, 1), (3, 4), (4, 3)]
@@ -67,6 +72,25 @@ class TestEnumerate:
     def test_duplicate_arcs_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_eulerian_spanning([(1, 2), (1, 2)]))
+
+    def test_order_matches_recursive_walk(self):
+        # the explicit loop yields what the recursive walk yields, in order,
+        # on digraphs with and without 2-cycles and on small W(D)s
+        rng = random.Random(71)
+        for _ in range(60):
+            D = random_orientation(rng, n_max=6)
+            arcs = sorted(D.arcs)
+            with_two_cycles = arcs + [(w, v) for v, w in arcs if rng.random() < 0.4]
+            for H in (arcs, with_two_cycles, build_wd(D) if len(arcs) <= 6 else arcs):
+                got = list(enumerate_eulerian_spanning(H, bound=64))
+                assert got == list(enumerate_eulerian_recursive(H))
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        path = [(i, i + 1) for i in range(1, 1200)]
+        assert list(enumerate_eulerian_spanning(path, bound=1199)) == [()]
+        cycle = path + [(1200, 1)]
+        got = list(enumerate_eulerian_spanning(cycle, bound=1200))
+        assert [frozenset(s) for s in got] == [frozenset(), frozenset(cycle)]
 
 
 class TestBruteforceCounts:
@@ -162,6 +186,36 @@ class TestWdCounter:
         for pattern in ("out", "in", "mixed"):
             D = interleaved_star(k, pattern)
             assert count_ee_eo_wd(D).difference == additive_coefficient(D)
+
+    @pytest.mark.parametrize(
+        "name, n, peak, ee, eo",
+        [
+            ("wd:g12:c", 12, 12281, 1055575273933, 1053687526407),
+            ("wd:g13:b", 13, 11941, 348255563618, 345507877187),
+        ],
+    )
+    def test_widest_level_pinned(self, name, n, peak, ee, eo):
+        # the widest level of a 23-arc orientation holds exactly `peak`
+        # states: a change to the plan's order or to the pruning moves it
+        D = gnp_orientation(name, n)
+        assert len(D.arcs) == 23
+        assert count_ee_eo_wd(D, bound=peak) == EulerianCount(ee, eo)
+        with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
+            count_ee_eo_wd(D, bound=peak - 1)
+
+    def test_plan_splits_as_symmetric_difference(self, d1, d2, d3):
+        # the plan reads the two neighbourhoods itself; it must split them as
+        # symmetric_difference_neighborhoods does, in the same frontier order
+        rng = random.Random(67)
+        corpus = [d1, d2, d3, gen_sun(4), Orientation(3, frozenset())]
+        corpus += [random_orientation(rng, n_min=2, n_max=9) for _ in range(100)]
+        for D in corpus:
+            expected = []
+            for v, w in D.sorted_arcs():
+                direct, detour = symmetric_difference_neighborhoods(D, v, w)
+                expected.append((v, tuple(sorted(direct)), tuple(sorted(detour))))
+            expected.sort(key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
+            assert _wd_arc_plan(D) == expected
 
     def test_state_bound(self, d2):
         with pytest.raises(BoundExceededError, match=r"reached 2 balance states.*state bound 1 "):

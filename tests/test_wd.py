@@ -18,6 +18,7 @@ from wdlab import (
     gen_sun,
     symmetric_difference_neighborhoods,
 )
+from wdlab.wd import wd_size
 
 
 def star_out_degree(wd, x: int) -> int:
@@ -210,6 +211,7 @@ class TestBuildWd:
                 e_total += 2 * len(direct) + 3 * len(detour) + 1
             assert len(wd.vertices) == v_total
             assert len(wd.arcs) == e_total
+            assert wd_size(D) == (v_total, e_total)
 
     def test_matches_union_of_paths(self, d1, d2, d3):
         corpus = oracle_corpus(d1, d2, d3)
