@@ -55,7 +55,6 @@ from .wd import (
     WDigraph,
     all_gamma_paths,
     build_wd,
-    decompose_into_gamma_paths,
     gamma_paths_for_arc,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "count_ee_eo_bruteforce",
     "count_ee_eo_classic",
     "count_ee_eo_wd",
-    "decompose_into_gamma_paths",
     "enumerate_eulerian_spanning",
     "expand_capped",
     "find_additive_coloring",

@@ -27,9 +27,9 @@ from .graphs import (
     Graph,
     Orientation,
     VertexPartition,
+    _is_simplicial,
     orientation_count,
     orientation_from_index,
-    simplicial_vertices,
     two_color,
 )
 from .polynomials import additive_factors, expand_capped
@@ -232,7 +232,8 @@ def check_simplicial_sink_hypothesis(G: Graph, D: Orientation) -> bool:
 
 
 def _simplicial_sinks(G: Graph, D: Orientation) -> frozenset[int]:
-    return frozenset(u for u in simplicial_vertices(G) if D.out_degree(u) == 0)
+    sinks = (u for u, out in enumerate(D.out_degrees(), 1) if out == 0)
+    return frozenset(u for u in sinks if _is_simplicial(G, u))
 
 
 def check_tripartite_hypothesis(

@@ -285,12 +285,13 @@ def simplicial_vertices(G: Graph) -> frozenset[int]:
 
     Isolated and degree-1 vertices qualify (empty and singleton cliques).
     """
-    out = set()
-    for v in G.vertices():
-        nbrs = sorted(G.neighbors(v))
-        if all(G.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2)):
-            out.add(v)
-    return frozenset(out)
+    return frozenset(v for v in G.vertices() if _is_simplicial(G, v))
+
+
+def _is_simplicial(G: Graph, v: int) -> bool:
+    """Does N(v) induce a clique: is N(v) within N(a) + a for each a in N(v)?"""
+    nbrs = G.neighbors(v)
+    return all(nbrs <= G.neighbors(a) | {a} for a in nbrs)
 
 
 # ---------------------------------------------------------------------------

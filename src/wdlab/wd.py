@@ -15,36 +15,57 @@ gamma-paths whose star in/out traffic balances, which is what makes the
 structured counters in `eulerian` possible. The same fact defines the
 digraph here: the private `_sector` is the one place that spells out a
 sector, as its entry arc plus the rest of each target's path. The public
-`gamma_paths_for_arc` turns it into `GammaPath`s, and the decomposition is
-read off those paths. `build_wd` flattens the same sectors straight into
-one arc list, making each star once and no `GammaPath` at all, so the arcs
-of W(D) are the union of every gamma-path's edges by construction. No
-sector is stored; a sector is its arc's gamma-paths without their star
-arcs. `wd_size` counts the vertices and arcs of W(D) from the size of
-each sector, without building any of it.
+`gamma_paths_for_arc` turns it into `GammaPath`s. `build_wd` flattens the
+same sectors straight into one arc list, making each star once and no
+`GammaPath` at all, so the arcs of W(D) are the union of every
+gamma-path's edges by construction. No sector is stored; a sector is its
+arc's gamma-paths without their star arcs. `wd_size` counts the vertices
+and arcs of W(D) from the size of each sector, without building any of it.
+
+The vertices `Star`, `SectorX` and `SectorY` are typed named tuples: each
+equals only a vertex of its own type with the same fields, never another
+vertex type or a plain tuple, and hashes as its field tuple, in C, since
+building W(D) hashes every vertex into its sets. Like any tuple they
+unpack, index and order by their fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Union
 
 from .graphs import Orientation
 
 
-@dataclass(frozen=True)
-class Star:
-    """Hub vertex for original vertex x, rendered ``x*``."""
+def _eq_same_type(self: tuple, other: object) -> bool:
+    # False, not NotImplemented: tuple's reflected == would match the fields
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _ne_same_type(self: tuple, other: object) -> bool:
+    # a tuple subclass that defines only __eq__ keeps tuple's !=, which
+    # would call SectorX(a, x) and SectorY(a, x) not unequal
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+class Star(NamedTuple):
+    """Hub vertex for original vertex x, rendered ``x*``; equal only to a Star."""
 
     x: int
 
     def __str__(self) -> str:
         return f"{self.x}*"
 
+    __eq__ = _eq_same_type
+    __ne__ = _ne_same_type
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class SectorX:
-    """Copy of vertex x inside the sector of `arc`, rendered ``x^{v>w}``."""
+
+class SectorX(NamedTuple):
+    """Copy of vertex x inside the sector of `arc`, rendered ``x^{v>w}``.
+
+    Equal only to a SectorX; a SectorY with the same fields differs.
+    """
 
     arc: tuple[int, int]
     x: int
@@ -52,16 +73,26 @@ class SectorX:
     def __str__(self) -> str:
         return f"{self.x}^{{{self.arc[0]}>{self.arc[1]}}}"
 
+    __eq__ = _eq_same_type
+    __ne__ = _ne_same_type
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class SectorY:
-    """Detour waypoint toward x inside the sector of `arc`, ``y^{v>w}_x``."""
+
+class SectorY(NamedTuple):
+    """Detour waypoint toward x inside the sector of `arc`, ``y^{v>w}_x``.
+
+    Equal only to a SectorY; a SectorX with the same fields differs.
+    """
 
     arc: tuple[int, int]
     x: int
 
     def __str__(self) -> str:
         return f"y^{{{self.arc[0]}>{self.arc[1]}}}_{self.x}"
+
+    __eq__ = _eq_same_type
+    __ne__ = _ne_same_type
+    __hash__ = tuple.__hash__
 
 
 WVertex = Union[Star, SectorX, SectorY]
@@ -193,22 +224,3 @@ def all_gamma_paths(D: Orientation) -> list[GammaPath]:
     """Every gamma-path of W(D), ordered by (arc, target)."""
     return [p for arc in D.sorted_arcs() for p in gamma_paths_for_arc(D, arc)]
 
-
-def decompose_into_gamma_paths(
-    wd: WDigraph, arc_subset: frozenset[WArc] | set[WArc]
-) -> Optional[list[GammaPath]]:
-    """Split an arc subset of W(D) into edge-disjoint gamma-paths.
-
-    An exit arc x^{vw} -> x* lies on exactly one gamma-path, so the only
-    candidate split is the paths whose exit arc is in the subset. Returns
-    them (sorted by arc then target) when their edges, counted with
-    multiplicity, are exactly the subset, and None otherwise; the
-    decomposition is unique when it exists.
-    """
-    if not arc_subset <= wd.arcs:
-        raise ValueError("arc subset contains arcs outside the digraph")
-    paths = [p for p in all_gamma_paths(wd.source) if p.edges[-1] in arc_subset]
-    used = [e for p in paths for e in p.edges]
-    if len(used) != len(arc_subset) or set(used) != arc_subset:
-        return None
-    return paths

@@ -33,6 +33,7 @@ from wdlab import (
 from wdlab.coloring import _additive_colorings
 from wdlab.eulerian import _arc_list
 from wdlab.graphs import orientation_count, orientation_from_index, two_color
+from wdlab.wd import WArc
 
 
 def is_balanced(arcs) -> bool:
@@ -346,6 +347,26 @@ def build_wd_from_paths(D: Orientation) -> WDigraph:
     arcs = frozenset(e for p in all_gamma_paths(D) for e in p.edges)
     vertices = frozenset(Star(x) for x in D.vertices()) | {u for e in arcs for u in e}
     return WDigraph(D, vertices, arcs)
+
+
+def decompose_into_gamma_paths(
+    wd: WDigraph, arc_subset: frozenset[WArc] | set[WArc]
+) -> Optional[list[GammaPath]]:
+    """Split an arc subset of W(D) into edge-disjoint gamma-paths.
+
+    An exit arc x^{vw} -> x* lies on exactly one gamma-path, so the only
+    candidate split is the paths whose exit arc is in the subset. Returns
+    them (sorted by arc then target) when their edges, counted with
+    multiplicity, are exactly the subset, and None otherwise; the
+    decomposition is unique when it exists.
+    """
+    if not arc_subset <= wd.arcs:
+        raise ValueError("arc subset contains arcs outside the digraph")
+    paths = [p for p in all_gamma_paths(wd.source) if p.edges[-1] in arc_subset]
+    used = [e for p in paths for e in p.edges]
+    if len(used) != len(arc_subset) or set(used) != arc_subset:
+        return None
+    return paths
 
 
 def evaluate_additive(D: Orientation, assignment: Mapping[int, int]) -> int:

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     connected_graphs_up_to,
     count_orientations_same_outdeg_direct,
+    decompose_into_gamma_paths,
     enumerate_orientations,
     is_balanced,
     random_lists,
@@ -34,7 +35,6 @@ from wdlab import (
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    decompose_into_gamma_paths,
     enumerate_eulerian_spanning,
     find_additive_coloring,
     gamma_paths_for_arc,

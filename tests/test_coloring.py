@@ -35,9 +35,10 @@ from wdlab import (
     gen_sun,
     induced_sums,
     is_additive_coloring,
+    orientation_from_index,
     simplicial_vertices,
 )
-from wdlab.coloring import _additive_colorings
+from wdlab.coloring import _additive_colorings, _simplicial_sinks
 
 
 class TestIsAdditiveColoring:
@@ -229,6 +230,19 @@ class TestSimplicialSinkHypothesis:
             }
             reference = all(cycle & sinks for cycle in odd_cycle_vertex_sets(G))
             assert check_simplicial_sink_hypothesis(G, D) == reference
+
+    def test_sinks_checked_for_simpliciality_alone(self):
+        rng = random.Random(103)
+        edgeless, k5 = Graph(6, frozenset()), gen_complete(5)
+        graphs = [Graph(0, frozenset()), edgeless, k5]
+        graphs += [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(200)]
+        for G in graphs:
+            D = orientation_from_index(G, rng.randrange(1 << len(G.edges)))
+            expected = {u for u in simplicial_vertices(G) if D.out_degree(u) == 0}
+            assert _simplicial_sinks(G, D) == expected
+        assert _simplicial_sinks(edgeless, Orientation(6, frozenset())) == set(range(1, 7))
+        # the transitive tournament's only sink is its last vertex
+        assert _simplicial_sinks(k5, orientation_from_index(k5, 0)) == {5}
 
     def test_mechanism_forces_eo_zero(self):
         # hypothesis true -> no odd Eulerian subdigraph in the sector digraph

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     caterpillar,
     count_orientations_same_outdeg_direct,
+    decompose_into_gamma_paths,
     enumerate_eulerian_recursive,
     enumerate_orientations,
     gnp_orientation,
@@ -28,7 +29,6 @@ from wdlab import (
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    decompose_into_gamma_paths,
     enumerate_eulerian_spanning,
     gamma_paths_for_arc,
     gen_sun,

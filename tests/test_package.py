@@ -35,7 +35,6 @@ EXPORTS = {
     "count_ee_eo_bruteforce",
     "count_ee_eo_classic",
     "count_ee_eo_wd",
-    "decompose_into_gamma_paths",
     "enumerate_eulerian_spanning",
     "expand_capped",
     "find_additive_coloring",

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
-from helpers import build_wd_from_paths, gamma_path, random_graph, random_orientation
+from helpers import (
+    build_wd_from_paths,
+    decompose_into_gamma_paths,
+    gamma_path,
+    random_graph,
+    random_orientation,
+)
 from wdlab import (
     Orientation,
     SectorX,
@@ -13,7 +21,6 @@ from wdlab import (
     Star,
     all_gamma_paths,
     build_wd,
-    decompose_into_gamma_paths,
     gamma_paths_for_arc,
     gen_sun,
     symmetric_difference_neighborhoods,
@@ -52,6 +59,66 @@ def oracle_corpus(d1, d2, d3) -> list[Orientation]:
         n = rng.randint(1, 10)
         corpus.append(orient(n, sorted(random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))).edges)))
     return corpus
+
+
+# each vertex type with its field tuple
+VERTICES = [
+    (Star(4), (4,)),
+    (SectorX((1, 2), 4), ((1, 2), 4)),
+    (SectorY((1, 2), 4), ((1, 2), 4)),
+]
+TYPE_NAMES = ["Star", "SectorX", "SectorY"]
+
+
+class TestVertexTypes:
+    @pytest.mark.parametrize(
+        "a, b",
+        itertools.permutations([v for v, _ in VERTICES], 2),
+        ids=lambda v: type(v).__name__,
+    )
+    def test_types_never_equal(self, a, b):
+        assert not a == b
+        assert a != b
+
+    @pytest.mark.parametrize("v, fields", VERTICES, ids=TYPE_NAMES)
+    def test_never_equal_to_the_field_tuple(self, v, fields):
+        for a, b in ((v, fields), (fields, v)):
+            assert not a == b
+            assert a != b
+
+    @pytest.mark.parametrize("v, fields", VERTICES, ids=TYPE_NAMES)
+    def test_equal_to_a_fresh_copy_and_hashed_as_the_field_tuple(self, v, fields):
+        fresh = type(v)(*fields)
+        assert fresh is not v
+        assert fresh == v and not fresh != v
+        assert hash(v) == hash(fields) == hash(fresh)
+
+    @pytest.mark.parametrize(
+        "v, rep, text",
+        [
+            (Star(4), "Star(x=4)", "4*"),
+            (SectorX((1, 2), 4), "SectorX(arc=(1, 2), x=4)", "4^{1>2}"),
+            (SectorY((1, 2), 4), "SectorY(arc=(1, 2), x=4)", "y^{1>2}_4"),
+        ],
+        ids=TYPE_NAMES,
+    )
+    def test_repr_and_str(self, v, rep, text):
+        assert repr(v) == rep
+        assert str(v) == text
+
+    @pytest.mark.parametrize("v, fields", VERTICES, ids=TYPE_NAMES)
+    def test_immutable(self, v, fields):
+        with pytest.raises(AttributeError):
+            v.x = 5
+        with pytest.raises(AttributeError):
+            v.label = "new"
+        assert v == type(v)(*fields)
+
+    @pytest.mark.parametrize("v, fields", VERTICES, ids=TYPE_NAMES)
+    def test_pickle_and_deepcopy_round_trip(self, v, fields):
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert type(back) is type(v)
+            assert back == v and hash(back) == hash(fields)
 
 
 class TestBuildSector:
