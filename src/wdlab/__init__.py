@@ -35,7 +35,6 @@ from .graphs import (
     orientation_from_index,
     parse,
     simplicial_vertices,
-    symmetric_difference_neighborhoods,
     to_text,
 )
 from .polynomials import (
@@ -53,7 +52,6 @@ from .wd import (
     SectorY,
     Star,
     WDigraph,
-    all_gamma_paths,
     build_wd,
     gamma_paths_for_arc,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "WDigraph",
     "additive_coefficient",
     "additive_factors",
-    "all_gamma_paths",
     "build_wd",
     "check_simplicial_sink_hypothesis",
     "check_tripartite_hypothesis",
@@ -100,6 +97,5 @@ __all__ = [
     "orientation_from_index",
     "parse",
     "simplicial_vertices",
-    "symmetric_difference_neighborhoods",
     "to_text",
 ]

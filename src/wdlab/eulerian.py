@@ -178,9 +178,8 @@ def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, 
     Arcs are sorted by the largest star they touch (their tail or a
     target), then by their number of targets, so that every star's
     remaining capacity runs out early and pins its balance to zero. The
-    targets split N(v) symm-diff N(w) as `symmetric_difference_neighborhoods`
-    does, read straight off the two neighbourhoods: every arc comes from D,
-    so that function's arc check has nothing to reject here.
+    targets split N(v) symm-diff N(w), read straight off the two
+    neighbourhoods: N(v) \\ N(w) are direct, N(w) \\ N(v) without v detours.
     """
     neighbors = D.neighbors
     plan = []

@@ -49,6 +49,15 @@ class Graph:
         """Build a graph from unordered endpoint pairs in any orientation."""
         return cls(n, frozenset(_normalize_edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _of_checked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
+        """A graph from normalized edges whose checks have already passed
+        elsewhere, made without running `__post_init__` over them again."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     @cached_property
     def _adj(self) -> dict[int, frozenset[int]]:
         nbrs: dict[int, set[int]] = {v: set() for v in self.vertices()}
@@ -120,7 +129,11 @@ class Orientation:
 
     @cached_property
     def _underlying(self) -> Graph:
-        return Graph.of(self.n, self.arcs)
+        # __post_init__ has checked every arc: in range, no loop and no
+        # antiparallel pair, so the edges are distinct and need no check
+        return Graph._of_checked(
+            self.n, frozenset([(v, w) if v < w else (w, v) for v, w in self.arcs])
+        )
 
     def underlying(self) -> Graph:
         """The undirected graph D orients, built once per orientation."""
@@ -239,21 +252,6 @@ def to_text(obj: Graph | Orientation) -> str:
 # ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
-
-def symmetric_difference_neighborhoods(
-    D: Orientation, v: int, w: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split N(v) symm-diff N(w) along the arc (v, w).
-
-    Returns ``(direct, detour)`` with direct = N(v) \\ N(w) and
-    detour = N(w) \\ N[v]. Together with {v} these cover the symmetric
-    difference: w always lands in direct, v in neither.
-    """
-    if (v, w) not in D.arcs:
-        raise ValueError(f"({v}, {w}) is not an arc")
-    nv, nw = D.neighbors(v), D.neighbors(w)
-    return nv - nw, nw - (nv | {v})
-
 
 def two_color(G: Graph, excluded: frozenset[int] = frozenset()) -> Optional[dict[int, int]]:
     """2-color G, or G minus `excluded`; None if an odd cycle remains.

@@ -34,17 +34,35 @@ cap test masks the key and compares it with the cap shifted into place,
 and so does `cap_coefficient`'s retirement test. A `CappedPolynomial`
 keeps the packed map and each variable's unit; its exponent-vector view
 `terms` is built only when it is first read.
+
+Each factor becomes a packed *step*, one (sign, mask, cap, unit) entry per
+variable that can fire, and both engines multiply by the steps in one
+loop (`_product`). With each step comes a mask of the variables that
+retire there; a product is kept only when it already holds the cap in
+those fields. `expand_capped` passes mask 0, so it keeps every product.
+A coefficient that cancels to 0 is skipped when the next step reads it
+rather than dropped by copying the map after every step; `expand_capped`
+drops the zeros once, at the end. `additive_coefficient` and
+`classical_coefficient` read their steps and frontier keys straight off
+D, with no `LinearFactor` in between; `_additive_splits` is the one
+spelling of the additive split, shared with `additive_factors`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import Orientation
 
 ExponentVector = tuple[int, ...]
+#: A packed-key layout: variable -> (mask, cap, unit) of its field.
+Field = Mapping[int, tuple[int, int, int]]
+#: One factor in the packed layout: a (sign, mask, cap, unit) entry per term.
+Step = list[tuple[int, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -115,20 +133,33 @@ def classical_factors(D: Orientation) -> list[LinearFactor]:
     return [LinearFactor(((1, v), (-1, w))) for v, w in D.sorted_arcs()]
 
 
+def _additive_splits(D: Orientation) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Each arc's additive factor as its (positive, negative) variables, in
+    sorted arc order: N(w) \\ N(v) and N(v) \\ N(w) for the arc (v, w).
+
+    The one spelling of the split, shared by `additive_factors` and the
+    packed steps of `additive_coefficient`. v always lands in the positive
+    part and w in the negative one, so neither is ever empty.
+    """
+    neighbors = D.neighbors
+    splits = []
+    for v, w in D.sorted_arcs():
+        nv, nw = neighbors(v), neighbors(w)
+        splits.append((nw - nv, nv - nw))
+    return splits
+
+
 def additive_factors(D: Orientation) -> list[LinearFactor]:
     """Neighbor-sum difference per arc, reduced to the disjoint parts.
 
     For the arc (v, w) the positive variables are N(w) \\ N(v) and the
-    negative ones N(v) \\ N(w); w always appears negatively and v
-    positively, so no factor is ever empty.
+    negative ones N(v) \\ N(w), each ascending; w always appears negatively
+    and v positively, so no factor is ever empty.
     """
-    factors = []
-    for v, w in D.sorted_arcs():
-        nv, nw = D.neighbors(v), D.neighbors(w)
-        terms = [(1, u) for u in sorted(nw - nv)] + [(-1, u) for u in sorted(nv - nw)]
-        assert terms
-        factors.append(LinearFactor(tuple(terms)))
-    return factors
+    return [
+        LinearFactor(tuple([(1, u) for u in sorted(pos)] + [(-1, u) for u in sorted(neg)]))
+        for pos, neg in _additive_splits(D)
+    ]
 
 
 def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
@@ -147,9 +178,7 @@ def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
     return field
 
 
-def _steps(
-    factors: Sequence[LinearFactor], field: Mapping[int, tuple[int, int, int]], n: int
-) -> list[list[tuple[int, int, int, int]]]:
+def _steps(factors: Sequence[LinearFactor], field: Field, n: int) -> list[Step]:
     """Each factor's terms as (sign, mask, cap, unit) in the packed layout,
     without the terms on cap-0 variables, which can never fire.
 
@@ -168,18 +197,34 @@ def _steps(
     return steps
 
 
-def _multiply(
-    terms: Mapping[int, int], step: Sequence[tuple[int, int, int, int]]
-) -> dict[int, int]:
-    """Packed terms times one factor, dropping the products past the cap."""
-    nxt: dict[int, int] = {}
-    get = nxt.get
-    for key, coef in terms.items():
-        for sign, mask_u, cap_u, one in step:
-            if key & mask_u < cap_u:
-                bumped = key + one
-                nxt[bumped] = get(bumped, 0) + sign * coef
-    return nxt
+def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> dict[int, int]:
+    """The one product loop of both engines: the constant 1 multiplied by
+    each step in turn, paired with that step's mask.
+
+    A product is kept only when its fields under the step's mask equal the
+    cap's there: `cap_coefficient` passes the fields of the variables that
+    retire at the step, `expand_capped` mask 0, which keeps every product.
+    No product past the cap in any field is formed. A coefficient that
+    cancels to 0 stays in the map and is skipped when the next step reads
+    it, so the map is never copied to drop it: the result may hold zero
+    entries. Stops at the first step that leaves no term.
+    """
+    terms: dict[int, int] = {0: 1}
+    for step, mask in zip(steps, masks):
+        full = packed_cap & mask
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, coef in terms.items():
+            if coef:
+                for sign, mask_u, cap_u, one in step:
+                    if key & mask_u < cap_u:
+                        bumped = key + one
+                        if bumped & mask == full:
+                            nxt[bumped] = get(bumped, 0) + sign * coef
+        if not nxt:
+            return nxt
+        terms = nxt
+    return terms
 
 
 def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> CappedPolynomial:
@@ -187,52 +232,95 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
 
     Factors are taken smallest support first to keep the working term map
     small; the product does not depend on the order. Every term under the
-    cap is kept, with no frontier elimination, so the map can grow with the
-    size of the graph; `cap_coefficient` retires variables instead when
-    only the cap term is wanted. Terms are keyed by packed integers.
-    Raises ValueError for a factor term on a variable outside x_1..x_n,
-    where n = len(cap).
+    cap is kept, with no frontier elimination (`_product` with mask 0), so
+    the map can grow with the size of the graph; `cap_coefficient` retires
+    variables instead when only the cap term is wanted. Terms are keyed by
+    packed integers. Terms that cancel are skipped as the product goes and
+    dropped once at the end, so `packed` holds no zero entry. Raises
+    ValueError for a factor term on a variable outside x_1..x_n, where
+    n = len(cap).
     """
     cap = tuple(cap)
     field = _bit_fields(cap)
-    terms: dict[int, int] = {0: 1}
-    for step in _steps(sorted(factors, key=LinearFactor.support), field, len(cap)):
-        terms = {k: c for k, c in _multiply(terms, step).items() if c}
+    steps = _steps(sorted(factors, key=LinearFactor.support), field, len(cap))
+    terms = _product(steps, itertools.repeat(0), 0)
     unit = tuple(field[u][2] if u in field else 0 for u in range(1, len(cap) + 1))
-    return CappedPolynomial(cap, terms, unit)
+    return CappedPolynomial(cap, {k: c for k, c in terms.items() if c}, unit)
 
 
 def _frontier_order(factor: LinearFactor) -> tuple[int, int]:
     return max((u for _, u in factor.terms), default=0), factor.support()
 
 
-def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int:
-    """Coefficient of the cap monomial in the product of the factors.
-
-    Equal to `expand_capped(factors, cap).coefficient(cap)`, computed by
-    frontier elimination over packed keys (see the module docstring):
-    after the last factor holding x_u, only terms with x_u at exactly
-    cap[u] survive. Returns 0 as soon as a factor has no term that can
-    fire or no term survives. Raises ValueError for a factor term on a
-    variable outside x_1..x_n, where n = len(cap).
-    """
-    field = _bit_fields(cap)
+def _eliminate(steps: Sequence[Step], field: Field) -> int:
+    """Coefficient of the cap monomial in the product of `steps`, taken in
+    frontier order: each variable retires at its last step, after which
+    only terms with it at exactly its cap survive."""
     packed_cap = sum(cap_u for _, cap_u, _ in field.values())
-    steps = _steps(sorted(factors, key=_frontier_order), field, len(cap))
     last: dict[int, int] = {}  # each variable's mask -> its last step
     for pos, step in enumerate(steps):
         for _, mask_u, _, _ in step:
             last[mask_u] = pos
-    done_mask = [0] * len(steps)
+    masks = [0] * len(steps)
     for mask_u, pos in last.items():
-        done_mask[pos] |= mask_u
-    terms: dict[int, int] = {0: 1}
-    for step, mask in zip(steps, done_mask):
-        full = packed_cap & mask
-        terms = {k: c for k, c in _multiply(terms, step).items() if c and k & mask == full}
-        if not terms:
-            return 0
-    return terms.get(packed_cap, 0)
+        masks[pos] |= mask_u
+    return _product(steps, masks, packed_cap).get(packed_cap, 0)
+
+
+def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int:
+    """Coefficient of the cap monomial in the product of the factors.
+
+    Equal to `expand_capped(factors, cap).coefficient(cap)`, computed by
+    frontier elimination over packed keys (see the module docstring) in the
+    same product loop as `expand_capped`: after the last factor holding
+    x_u, only terms with x_u at exactly cap[u] are kept. Terms that cancel
+    are skipped at the next factor. Returns 0 once a factor has no term
+    that can fire or no term survives. Raises ValueError for a factor term
+    on a variable outside x_1..x_n, where n = len(cap).
+    """
+    field = _bit_fields(cap)
+    return _eliminate(_steps(sorted(factors, key=_frontier_order), field, len(cap)), field)
+
+
+def _signed(field: Field) -> tuple[dict[int, tuple[int, int, int, int]], ...]:
+    """Each capped variable's step entry as (sign, mask, cap, unit), made once
+    per variable: one map for sign +1 and one for sign -1."""
+    return ({u: (1, *f) for u, f in field.items()}, {u: (-1, *f) for u, f in field.items()})
+
+
+def _classical_steps(D: Orientation, field: Field) -> list[tuple[tuple[int, int], Step]]:
+    """Each arc's frontier key and packed classical step, in sorted arc
+    order, read off D: what `_frontier_order` and `_steps` give for
+    `classical_factors(D)`."""
+    plus, minus = _signed(field)
+    return [
+        ((max(v, w), 2), [entry for entry in (plus.get(v), minus.get(w)) if entry])
+        for v, w in D.sorted_arcs()
+    ]
+
+
+def _additive_steps(D: Orientation, field: Field) -> list[tuple[tuple[int, int], Step]]:
+    """Each arc's frontier key and packed additive step, in sorted arc
+    order, read off D: what `_frontier_order` and `_steps` give for
+    `additive_factors(D)`, up to the order of a step's entries."""
+    plus, minus = _signed(field)
+    keyed = []
+    for positive, negative in _additive_splits(D):
+        step = [plus[u] for u in positive if u in plus]
+        step += [minus[u] for u in negative if u in minus]
+        keyed.append(((max(max(positive), max(negative)), len(positive) + len(negative)), step))
+    return keyed
+
+
+def _coefficient(
+    D: Orientation, steps_of: Callable[[Orientation, Field], list[tuple[tuple[int, int], Step]]]
+) -> int:
+    """The out-degree coefficient of the product of D's steps, eliminated
+    in frontier order (a stable sort of the arcs by their keys)."""
+    field = _bit_fields(D.out_degrees())
+    keyed = steps_of(D, field)
+    keyed.sort(key=itemgetter(0))
+    return _eliminate([step for _, step in keyed], field)
 
 
 def classical_coefficient(D: Orientation) -> int:
@@ -241,7 +329,7 @@ def classical_coefficient(D: Orientation) -> int:
     Equals the even-odd difference of spanning Eulerian subdigraph counts
     of D itself.
     """
-    return cap_coefficient(classical_factors(D), D.out_degrees())
+    return _coefficient(D, _classical_steps)
 
 
 def additive_coefficient(D: Orientation) -> int:
@@ -250,4 +338,4 @@ def additive_coefficient(D: Orientation) -> int:
     Equals the even-odd difference for W(D); nonzero certifies that every
     assignment of lists of size out-degree + 1 admits an additive coloring.
     """
-    return cap_coefficient(additive_factors(D), D.out_degrees())
+    return _coefficient(D, _additive_steps)

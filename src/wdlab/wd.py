@@ -145,9 +145,8 @@ def _sector(
     builds many sectors can make each star once.
 
     The targets are N(v) symm-diff N(w) without v, read off the two
-    neighbourhoods once: x in N(v) is direct, any other x a detour, the
-    split of `symmetric_difference_neighborhoods`. Raises ValueError when
-    `arc` is not an arc of D.
+    neighbourhoods once: x in N(v) \\ N(w) is direct, x in N(w) \\ N[v] a
+    detour. Raises ValueError when `arc` is not an arc of D.
     """
     v, w = arc
     if arc not in D.arcs:
@@ -218,9 +217,3 @@ def wd_size(D: Orientation) -> tuple[int, int]:
         vertices += 1 + direct + 2 * detour
         arcs += 1 + 2 * direct + 3 * detour
     return vertices, arcs
-
-
-def all_gamma_paths(D: Orientation) -> list[GammaPath]:
-    """Every gamma-path of W(D), ordered by (arc, target)."""
-    return [p for arc in D.sorted_arcs() for p in gamma_paths_for_arc(D, arc)]
-

@@ -27,7 +27,6 @@ from wdlab import (
     VertexPartition,
     WDigraph,
     additive_coefficient,
-    all_gamma_paths,
     gamma_paths_for_arc,
 )
 from wdlab.coloring import _additive_colorings
@@ -328,6 +327,26 @@ def is_bipartite(G: Graph) -> Optional[VertexPartition]:
     side0 = frozenset(v for v in G.vertices() if color[v] == 0)
     side1 = frozenset(v for v in G.vertices() if color[v] == 1)
     return VertexPartition((side0, side1))
+
+
+def symmetric_difference_neighborhoods(
+    D: Orientation, v: int, w: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Split N(v) symm-diff N(w) along the arc (v, w).
+
+    Returns ``(direct, detour)`` with direct = N(v) \\ N(w) and
+    detour = N(w) \\ N[v]. Together with {v} these cover the symmetric
+    difference: w always lands in direct, v in neither.
+    """
+    if (v, w) not in D.arcs:
+        raise ValueError(f"({v}, {w}) is not an arc")
+    nv, nw = D.neighbors(v), D.neighbors(w)
+    return nv - nw, nw - (nv | {v})
+
+
+def all_gamma_paths(D: Orientation) -> list[GammaPath]:
+    """Every gamma-path of W(D), ordered by (arc, target)."""
+    return [p for arc in D.sorted_arcs() for p in gamma_paths_for_arc(D, arc)]
 
 
 def gamma_path(D: Orientation, arc: tuple[int, int], x: int) -> GammaPath:

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from helpers import (
+    all_gamma_paths,
     connected_graphs_up_to,
     count_orientations_same_outdeg_direct,
     decompose_into_gamma_paths,
@@ -27,7 +28,6 @@ from wdlab import (
     Graph,
     Orientation,
     additive_coefficient,
-    all_gamma_paths,
     build_wd,
     check_simplicial_sink_hypothesis,
     classical_coefficient,

@@ -18,6 +18,7 @@ from helpers import (
     is_balanced,
     naive_ee_eo,
     random_orientation,
+    symmetric_difference_neighborhoods,
 )
 from wdlab import (
     BoundExceededError,
@@ -32,7 +33,6 @@ from wdlab import (
     enumerate_eulerian_spanning,
     gamma_paths_for_arc,
     gen_sun,
-    symmetric_difference_neighborhoods,
 )
 from wdlab.eulerian import _wd_arc_plan
 

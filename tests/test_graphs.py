@@ -10,6 +10,7 @@ from helpers import (
     is_bipartite,
     random_graph,
     random_orientation,
+    symmetric_difference_neighborhoods,
 )
 from wdlab import (
     BoundExceededError,
@@ -23,7 +24,6 @@ from wdlab import (
     orientation_from_index,
     parse,
     simplicial_vertices,
-    symmetric_difference_neighborhoods,
     to_text,
 )
 
@@ -119,6 +119,21 @@ class TestTypes:
 
     def test_underlying(self, d1):
         assert d1.underlying() == Graph.of(4, [(1, 2), (1, 3), (2, 4), (2, 3)])
+
+    def test_underlying_matches_checked_graph(self):
+        # the underlying graph skips the edge checks its arcs already passed;
+        # it must equal the graph built and checked from the same arcs
+        rng = random.Random(89)
+        corpus = [Orientation(0, frozenset()), Orientation(5, frozenset()), gen_sun(3)]
+        corpus += [random_orientation(rng, n_min=1, n_max=9) for _ in range(100)]
+        assert sum(not D.arcs for D in corpus) >= 4
+        for D in corpus:
+            G = Graph.of(D.n, D.arcs)
+            assert D.underlying() == G
+            assert hash(D.underlying()) == hash(G)
+            for v in D.vertices():
+                assert D.neighbors(v) == G.neighbors(v)
+                assert D.in_degree(v) + D.out_degree(v) == G.degree(v)
 
     def test_degrees(self, d1):
         assert d1.out_degrees() == (2, 1, 1, 0)

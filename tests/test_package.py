@@ -25,7 +25,6 @@ EXPORTS = {
     "WDigraph",
     "additive_coefficient",
     "additive_factors",
-    "all_gamma_paths",
     "build_wd",
     "check_simplicial_sink_hypothesis",
     "check_tripartite_hypothesis",
@@ -48,7 +47,6 @@ EXPORTS = {
     "orientation_from_index",
     "parse",
     "simplicial_vertices",
-    "symmetric_difference_neighborhoods",
     "to_text",
 }
 

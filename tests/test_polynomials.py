@@ -27,9 +27,17 @@ from wdlab import (
     count_ee_eo_wd,
     expand_capped,
     find_additive_coloring,
+    gen_sun,
     is_additive_coloring,
 )
-from wdlab.polynomials import cap_coefficient
+from wdlab.polynomials import (
+    _additive_steps,
+    _bit_fields,
+    _classical_steps,
+    _frontier_order,
+    _steps,
+    cap_coefficient,
+)
 
 
 def F(*terms) -> LinearFactor:
@@ -143,6 +151,20 @@ class TestExpand:
         poly = expand_capped(factors, (len(factors),) * 2)
         assert poly.terms == {(2, 0): 1, (0, 2): -1}
 
+    @pytest.mark.parametrize("tail", [0, 1, 3])
+    def test_no_zero_entry_after_cancellation(self, tail):
+        # (a + b)(a - b) chains: x1 x2 cancels at the second factor, then
+        # `tail` more factors follow it, so the cancellation falls on an
+        # intermediate step or, with tail 0, on the last one
+        pair = [F((1, 1), (1, 2)), F((1, 1), (-1, 2))]
+        factors = pair + [F((1, 3), (1, 4)), F((1, 3), (-1, 4)), F((1, 1), (1, 3))][:tail]
+        for cap in ((3, 3, 3, 3), (1, 1, 1, 1), (2, 1, 2, 1)):
+            poly = expand_capped(factors, cap)
+            assert 0 not in poly.packed.values()
+            assert poly.terms == expand_capped_tuples(factors, cap)
+        # with x1 and x2 capped at 1 every term cancels: an empty map
+        assert expand_capped(pair, (1, 1)).packed == {}
+
     def test_cap_soundness_random(self):
         rng = random.Random(53)
         for _ in range(40):
@@ -204,6 +226,23 @@ class TestCapCoefficient:
         # every variable of the second factor has cap 0, so none can fire
         assert cap_coefficient([F((1, 1)), F((1, 2), (-1, 3))], (1, 0, 0)) == 0
 
+    def test_every_term_cancels_partway(self):
+        # capped at (1, 1), (x1 + x2)(x1 - x2) leaves only x1 x2, at 1 - 1 = 0;
+        # the factors after it read nothing but that zero
+        pair = [F((1, 1), (1, 2)), F((1, 1), (-1, 2))]
+        rest = [F((1, 3), (1, 4)), F((1, 3), (-1, 4)), F((1, 3))]
+        # each cap sums to the number of factors and is met by some product
+        for factors, cap in ((pair, (1, 1)), (pair + rest[:1], (1, 1, 1, 0)),
+                             (pair + rest, (1, 1, 3, 0))):
+            assert cap_coefficient(factors, cap) == 0
+            assert expand_capped_tuples(factors, cap).get(cap, 0) == 0
+            # the factors after the pair alone do reach their part of the cap
+            assert cap_coefficient(factors[2:], (0, 0) + cap[2:]) != 0
+        # the same chain with no cancellation under the cap is nonzero
+        assert cap_coefficient([F((1, 1), (1, 2)), F((1, 1), (1, 2))], (1, 1)) == 2
+        # a later factor that holds only cap-0 variables also gives 0
+        assert cap_coefficient([F((1, 1), (1, 2)), F((1, 3))], (1, 1, 0)) == 0
+
     @pytest.mark.parametrize("engine", ["expand_capped", "cap_coefficient"])
     def test_variable_outside_cap_rejected(self, engine):
         # u = 0 and u = n + 1, on a capped and on a cap-0 neighbour, are
@@ -258,6 +297,47 @@ class TestCapCoefficient:
                 (i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(1, 200))),
         ):
             assert additive_coefficient(D) == count_ee_eo_wd(D).difference
+
+
+class TestPackedSteps:
+    @pytest.mark.parametrize("route", ["additive", "classical"])
+    def test_steps_read_off_d_match_the_factors(self, route, d1, d2, d3):
+        # the coefficients build their packed steps and frontier keys
+        # straight off D; per arc they must hold what `_steps` and
+        # `_frontier_order` make of the factors, entry order aside
+        steps_of, factors_of = {
+            "additive": (_additive_steps, additive_factors),
+            "classical": (_classical_steps, classical_factors),
+        }[route]
+        rng = random.Random(97)
+        corpus = [d1, d2, d3, gen_sun(4), Orientation(3, frozenset())]
+        corpus += [random_orientation(rng, n_min=2, n_max=9) for _ in range(100)]
+        for D in corpus:
+            factors = factors_of(D)
+            # the out-degree cap drops every sink; the all-ones cap none
+            for cap in (D.out_degrees(), (1,) * D.n):
+                field = _bit_fields(cap)
+                keyed = steps_of(D, field)
+                assert len(keyed) == len(factors)
+                for (key, step), factor, want in zip(keyed, factors, _steps(factors, field, D.n)):
+                    assert key == _frontier_order(factor)
+                    assert sorted(step) == sorted(want)
+
+    def test_relabelling_keeps_the_coefficient(self):
+        # a relabelling of D changes the frontier order and the field layout,
+        # but not the coefficient, which the W(D) counter also gives
+        rng = random.Random(101)
+        nonzero = 0
+        for _ in range(50):
+            D = random_orientation(rng, n_min=2, n_max=8)
+            coef = additive_coefficient(D)
+            assert coef == count_ee_eo_wd(D).difference
+            perm = list(D.vertices())
+            rng.shuffle(perm)
+            relabelled = Orientation(D.n, frozenset((perm[v - 1], perm[w - 1]) for v, w in D.arcs))
+            assert additive_coefficient(relabelled) == coef
+            nonzero += coef != 0
+        assert nonzero >= 10
 
 
 class TestCoefficients:

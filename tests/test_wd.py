@@ -8,22 +8,22 @@ import random
 import pytest
 
 from helpers import (
+    all_gamma_paths,
     build_wd_from_paths,
     decompose_into_gamma_paths,
     gamma_path,
     random_graph,
     random_orientation,
+    symmetric_difference_neighborhoods,
 )
 from wdlab import (
     Orientation,
     SectorX,
     SectorY,
     Star,
-    all_gamma_paths,
     build_wd,
     gamma_paths_for_arc,
     gen_sun,
-    symmetric_difference_neighborhoods,
 )
 from wdlab.wd import wd_size
 
