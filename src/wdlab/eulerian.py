@@ -5,9 +5,10 @@ out-degree within the subset; the empty subset always qualifies and counts
 as even. Two independent routes are provided: a generic pruned
 include/exclude enumeration that works on any digraph, and a structured
 counter for W(D) that walks gamma-path choices per arc of D instead of raw
-arc subsets. The latter keeps one level of star-balance states at a time,
-each packed into one integer, takes the arcs in frontier order and prunes
-each state on the stars the current arc touches (see `count_ee_eo_wd`).
+arc subsets. The latter relabels D in maximum-cardinality search order,
+keeps one level of star-balance states at a time, each packed into one
+integer, takes the arcs in frontier order and prunes each state on the
+stars the current arc touches (see `count_ee_eo_wd`).
 Tests hold the two routes to exact agreement, and the W(D) counter to the
 coefficient route of `polynomials`, which it does not share code with.
 
@@ -181,10 +182,12 @@ def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, 
     targets split N(v) symm-diff N(w), read straight off the two
     neighbourhoods: N(v) \\ N(w) are direct, N(w) \\ N(v) without v detours.
     """
-    neighbors = D.neighbors
+    if not D.arcs:
+        return []
+    adj = D._adjacency()
     plan = []
     for v, w in D.sorted_arcs():
-        nv, nw = neighbors(v), neighbors(w)
+        nv, nw = adj[v], adj[w]
         detour = sorted(nw - nv)
         detour.remove(v)  # v is in N(w) but is never a target
         plan.append((v, tuple(sorted(nv - nw)), tuple(detour)))
@@ -230,9 +233,30 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
     probe. Each star's lower and upper field bounds are kept in its place
     and move by one unit when an arc leaves or enters it.
 
+    The plan orders the arcs by vertex label, so the labels, not the graph,
+    would set the frontier width: the counter runs on D relabelled in
+    maximum-cardinality search order (`Orientation.frontier_relabelled`),
+    which changes how fast it answers, never the answer. The search order
+    narrows most frontiers but not all, so when D' stops at the state
+    bound the counter runs again on D as labelled: every input that
+    answers in label order answers. `_count_wd` is the counter on D as
+    given.
+
     Raises BoundExceededError once one level holds more than `bound`
-    states (default DEFAULT_WD_STATE_BOUND).
+    states (default DEFAULT_WD_STATE_BOUND) in both orders; the error is
+    the one of the label order.
     """
+    relabelled = D.frontier_relabelled()
+    if relabelled is not D:
+        try:
+            return _count_wd(relabelled, bound)
+        except BoundExceededError:
+            pass  # rerun below, once the failed run's levels are freed
+    return _count_wd(D, bound)
+
+
+def _count_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
+    """The counter of `count_ee_eo_wd`, with the arcs of D as labelled."""
     limit = DEFAULT_WD_STATE_BOUND if bound is None else bound
     plan = _wd_arc_plan(D)
     # paths out of and into each star the plan touches; no other star gets
@@ -309,14 +333,21 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
                 for x_field, x_low, step, flips in targets:
                     if key & x_field <= x_low:
                         continue
-                    sub_even, sub_odd = (odd, even) if flips else (even, odd)
                     bumped = key + step
                     slot = get(bumped)
-                    if slot is None:
-                        nxt[bumped] = [sub_even, sub_odd]
+                    # a direct path flips the parity; spelled out twice
+                    # rather than through a swapped pair per product
+                    if flips:
+                        if slot is None:
+                            nxt[bumped] = [odd, even]
+                        else:
+                            slot[0] += odd
+                            slot[1] += even
+                    elif slot is None:
+                        nxt[bumped] = [even, odd]
                     else:
-                        slot[0] += sub_even
-                        slot[1] += sub_odd
+                        slot[0] += even
+                        slot[1] += odd
             if len(nxt) > limit:
                 raise BoundExceededError(
                     f"a W(D) level reached {len(nxt)} balance states,"

@@ -1,9 +1,12 @@
 """Simple undirected graphs, orientations, and structural predicates.
 
-Vertices are the contiguous integers 1..n, fixed by the file header; nothing
-downstream ever relabels them. Graphs and orientations are immutable value
-objects, so every function in the package is safe to call concurrently on
-shared inputs.
+Vertices are the contiguous integers 1..n, fixed by the file header. The
+W(D) counter and the coefficient route order their frontier by vertex
+label, so each runs on D relabelled by a maximum-cardinality search
+(`Orientation.frontier_relabelled`); their answers are label-invariant,
+and nothing else in the package relabels. Graphs and orientations are
+immutable value objects, so every function in the package is safe to call
+concurrently on shared inputs.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from .errors import BoundExceededError, ParseError
@@ -110,6 +114,12 @@ class Orientation:
         """Vertices adjacent to v, ignoring arc direction."""
         return self._underlying.neighbors(v)
 
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        # the underlying graph's neighbourhood map, for package code that
+        # reads many neighbourhoods; it holds an entry per vertex, so an
+        # arcless caller should not fetch it, and no caller may write to it
+        return self._underlying._adj
+
     def out_degree(self, v: int) -> int:
         return self._out_degrees[v - 1]
 
@@ -141,6 +151,72 @@ class Orientation:
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
+
+    def frontier_relabelled(self) -> "Orientation":
+        """D relabelled in maximum-cardinality search order.
+
+        The search runs on the underlying graph over the vertices some arc
+        touches: each step places the unplaced vertex with the most placed
+        neighbours, the smallest label breaking ties. The k-th vertex placed
+        takes the k-th smallest touched label and every untouched vertex
+        keeps its own; D' holds each arc of D under the new labels. When the
+        order is the identity, D' is D itself. An arcless D does no
+        per-vertex work. Computed once per orientation, so the W(D)
+        counter and the coefficient route share one search.
+        """
+        relabelled = self._frontier_relabelled
+        return self if relabelled is None else relabelled
+
+    @cached_property
+    def _frontier_relabelled(self) -> Optional["Orientation"]:
+        # None stands for D itself: caching D in its own attribute would
+        # make a reference cycle, which only the cyclic collector frees
+        if not self.arcs:
+            return None
+        adj = self._adjacency()
+        touched = [v for v, nbrs in adj.items() if nbrs]  # adj runs in vertex order
+        order = _search_order(adj, touched)
+        if order == touched:
+            return None
+        perm = dict(zip(order, touched))
+        return Orientation(self.n, frozenset([(perm[v], perm[w]) for v, w in self.arcs]))
+
+
+def _search_order(adj: dict[int, frozenset[int]], vertices: list[int]) -> list[int]:
+    """Maximum-cardinality search over `vertices`, given ascending: each step
+    takes the unplaced vertex with the most placed neighbours, the smallest
+    label among them.
+
+    heaps[c] is a min-heap of labels that had c placed neighbours when
+    pushed. Counts only grow, so an entry whose vertex has since gained a
+    neighbour, or been placed, is stale and skipped when popped, and `best`
+    only falls past heaps that have run empty.
+    """
+    count = dict.fromkeys(vertices, 0)  # placed neighbours of each unplaced vertex
+    heaps = [list(vertices)]  # ascending, so already a heap
+    order = []
+    best = 0
+    while best >= 0:
+        heap = heaps[best]
+        if not heap:
+            best -= 1
+            continue
+        v = heappop(heap)
+        if count.get(v) != best:
+            continue
+        del count[v]
+        order.append(v)
+        for x in adj[v]:
+            c = count.get(x)
+            if c is not None:
+                c += 1
+                count[x] = c
+                if c == len(heaps):
+                    heaps.append([])
+                heappush(heaps[c], x)
+                if c > best:
+                    best = c
+    return order
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,12 @@ drops the zeros once, at the end. `additive_coefficient` and
 `classical_coefficient` read their steps and frontier keys straight off
 D, with no `LinearFactor` in between; `_additive_splits` is the one
 spelling of the additive split, shared with `additive_factors`.
+
+The frontier follows the vertex labels, so the labels, not the graph,
+would set its width. `additive_coefficient` and `classical_coefficient`
+therefore run `_coefficient`, which takes D as given, on D relabelled in
+maximum-cardinality search order (`Orientation.frontier_relabelled`);
+`cap_coefficient` and `expand_capped` take their factors as labelled.
 """
 
 from __future__ import annotations
@@ -141,10 +147,12 @@ def _additive_splits(D: Orientation) -> list[tuple[frozenset[int], frozenset[int
     packed steps of `additive_coefficient`. v always lands in the positive
     part and w in the negative one, so neither is ever empty.
     """
-    neighbors = D.neighbors
+    if not D.arcs:
+        return []
+    adj = D._adjacency()
     splits = []
     for v, w in D.sorted_arcs():
-        nv, nw = neighbors(v), neighbors(w)
+        nv, nw = adj[v], adj[w]
         splits.append((nw - nv, nv - nw))
     return splits
 
@@ -327,9 +335,11 @@ def classical_coefficient(D: Orientation) -> int:
     """Coefficient of the out-degree monomial in the classical polynomial.
 
     Equals the even-odd difference of spanning Eulerian subdigraph counts
-    of D itself.
+    of D itself. Computed on D relabelled in maximum-cardinality search
+    order (`Orientation.frontier_relabelled`); the coefficient does not
+    depend on the labels.
     """
-    return _coefficient(D, _classical_steps)
+    return _coefficient(D.frontier_relabelled(), _classical_steps)
 
 
 def additive_coefficient(D: Orientation) -> int:
@@ -337,5 +347,8 @@ def additive_coefficient(D: Orientation) -> int:
 
     Equals the even-odd difference for W(D); nonzero certifies that every
     assignment of lists of size out-degree + 1 admits an additive coloring.
+    Computed on D relabelled in maximum-cardinality search order
+    (`Orientation.frontier_relabelled`); the coefficient does not depend
+    on the labels.
     """
-    return _coefficient(D, _additive_steps)
+    return _coefficient(D.frontier_relabelled(), _additive_steps)

@@ -151,7 +151,8 @@ def _sector(
     v, w = arc
     if arc not in D.arcs:
         raise ValueError(f"({v}, {w}) is not an arc")
-    nv, nw = D.neighbors(v), D.neighbors(w)
+    adj = D._adjacency()
+    nv, nw = adj[v], adj[w]
     root = SectorX(arc, v)
     rests = []
     for x in sorted(nv ^ nw):
@@ -210,8 +211,9 @@ def wd_size(D: Orientation) -> tuple[int, int]:
     and |A| = sum(1 + 2d + 3e) over the arcs of D.
     """
     vertices, arcs = D.n, 0
+    adj = D._adjacency() if D.arcs else {}
     for v, w in D.arcs:
-        nv, nw = D.neighbors(v), D.neighbors(w)
+        nv, nw = adj[v], adj[w]
         direct = len(nv - nw)
         detour = len(nw - nv) - 1  # v is in N(w) but is never a target
         vertices += 1 + direct + 2 * detour

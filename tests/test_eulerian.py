@@ -34,7 +34,7 @@ from wdlab import (
     gamma_paths_for_arc,
     gen_sun,
 )
-from wdlab.eulerian import _wd_arc_plan
+from wdlab.eulerian import _count_wd, _wd_arc_plan
 
 THREE_CYCLE = [(1, 2), (2, 3), (3, 1)]
 TWO_TWO_CYCLES = [(1, 2), (2, 1), (3, 4), (4, 3)]
@@ -195,13 +195,42 @@ class TestWdCounter:
         ],
     )
     def test_widest_level_pinned(self, name, n, peak, ee, eo):
-        # the widest level of a 23-arc orientation holds exactly `peak`
-        # states: a change to the plan's order or to the pruning moves it
+        # the widest level of a 23-arc orientation, counted in label order,
+        # holds exactly `peak` states: a change to the plan's order or to
+        # the pruning moves it
         D = gnp_orientation(name, n)
         assert len(D.arcs) == 23
-        assert count_ee_eo_wd(D, bound=peak) == EulerianCount(ee, eo)
+        assert _count_wd(D, bound=peak) == EulerianCount(ee, eo)
         with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
-            count_ee_eo_wd(D, bound=peak - 1)
+            _count_wd(D, bound=peak - 1)
+
+    @pytest.mark.parametrize(
+        "name, n, peak, ee, eo",
+        [
+            ("wd:g12:c", 12, 7152, 1055575273933, 1053687526407),
+            ("wd:g13:b", 13, 12154, 348255563618, 345507877187),
+        ],
+    )
+    def test_widest_level_in_search_order_pinned(self, name, n, peak, ee, eo):
+        # the same orientations relabelled in search order: narrower on
+        # wd:g12:c, wider on wd:g13:b; a change to the search order moves it
+        D = gnp_orientation(name, n).frontier_relabelled()
+        assert _count_wd(D, bound=peak) == EulerianCount(ee, eo)
+        with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
+            _count_wd(D, bound=peak - 1)
+
+    def test_answers_when_either_order_fits_the_bound(self):
+        # wd:g12:c fits 7,152 states only in search order, wd:g13:b 12,000
+        # only in label order; the public counter answers both, and when
+        # neither order fits it raises the label order's error
+        g12 = gnp_orientation("wd:g12:c", 12)
+        g13 = gnp_orientation("wd:g13:b", 13)
+        assert count_ee_eo_wd(g12, bound=7152) == EulerianCount(1055575273933, 1053687526407)
+        assert count_ee_eo_wd(g13, bound=12000) == EulerianCount(348255563618, 345507877187)
+        with pytest.raises(BoundExceededError, match="reached 7153 balance states"):
+            count_ee_eo_wd(g12, bound=7151)
+        with pytest.raises(BoundExceededError, match="reached 11941 balance states"):
+            count_ee_eo_wd(g13, bound=11940)
 
     def test_plan_splits_as_symmetric_difference(self, d1, d2, d3):
         # the plan reads the two neighbourhoods itself; it must split them as

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
 from helpers import (
     enumerate_orientations,
+    interleaved_star,
     is_acyclic,
     is_bipartite,
     random_graph,
@@ -17,6 +22,9 @@ from wdlab import (
     Graph,
     Orientation,
     ParseError,
+    additive_coefficient,
+    classical_coefficient,
+    count_ee_eo_wd,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
@@ -26,6 +34,8 @@ from wdlab import (
     simplicial_vertices,
     to_text,
 )
+from wdlab.eulerian import _count_wd
+from wdlab.polynomials import _additive_steps, _classical_steps, _coefficient
 
 
 class TestParse:
@@ -132,7 +142,7 @@ class TestTypes:
             assert D.underlying() == G
             assert hash(D.underlying()) == hash(G)
             for v in D.vertices():
-                assert D.neighbors(v) == G.neighbors(v)
+                assert D.neighbors(v) == G.neighbors(v) == D._adjacency()[v]
                 assert D.in_degree(v) + D.out_degree(v) == G.degree(v)
 
     def test_degrees(self, d1):
@@ -143,6 +153,115 @@ class TestTypes:
         for v in D.vertices():
             assert D.out_degree(v) == sum(1 for a in D.arcs if a[0] == v)
             assert D.in_degree(v) == sum(1 for a in D.arcs if a[1] == v)
+
+
+def mcs_order_by_scan(D: Orientation) -> list[int]:
+    """Maximum-cardinality search by rescanning every unplaced touched
+    vertex at each step: most placed neighbours, then smallest label."""
+    unplaced = {v for arc in D.arcs for v in arc}
+    order: list[int] = []
+    while unplaced:
+        v = min(unplaced, key=lambda u: (-len(D.neighbors(u) & set(order)), u))
+        order.append(v)
+        unplaced.remove(v)
+    return order
+
+
+def relabelled_by_scan(D: Orientation) -> tuple[Orientation, dict[int, int]]:
+    """(D', perm) from `mcs_order_by_scan`: the k-th vertex placed takes the
+    k-th smallest touched label; untouched vertices are not in `perm`."""
+    order = mcs_order_by_scan(D)
+    perm = dict(zip(order, sorted(order)))
+    return Orientation(D.n, frozenset((perm[v], perm[w]) for v, w in D.arcs)), perm
+
+
+class TestFrontierRelabelling:
+    def corpus(self, d1, d2, d3) -> list[Orientation]:
+        rng = random.Random(101)
+        corpus = [d1, d2, d3, gen_sun(2), gen_sun(3), gen_sun(4), interleaved_star(3, "mixed")]
+        corpus += [random_orientation(rng, n_min=1, n_max=8) for _ in range(200)]
+        return corpus
+
+    def test_relabelled_d_is_d_under_a_bijection(self, d1, d2, d3):
+        relabelled = 0
+        for D in self.corpus(d1, d2, d3):
+            D2 = D.frontier_relabelled()
+            expected, perm = relabelled_by_scan(D)
+            touched = {v for arc in D.arcs for v in arc}
+            # a bijection of the touched vertices; every other vertex is fixed
+            assert set(perm) == set(perm.values()) == touched
+            assert D2 == expected and D2.n == D.n
+            if all(perm[v] == v for v in perm):
+                assert D2 is D
+            else:
+                relabelled += 1
+            # cached: a second call hands back the same D'
+            assert D.frontier_relabelled() is D2
+        assert relabelled >= 100
+
+    def test_identity_on_natural_labels(self):
+        for n in (2, 3, 5, 17, 1200):
+            path = Orientation(n, frozenset((i, i + 1) for i in range(1, n)))
+            assert path.frontier_relabelled() is path
+        for n in (3, 4, 9, 40):
+            cycle = Orientation(n, frozenset((i, i % n + 1) for i in range(1, n + 1)))
+            assert cycle.frontier_relabelled() is cycle
+        # the layout tests' stars reach the engines with their own labels
+        for k in (1, 2, 3, 4, 7, 8, 15, 16):
+            for pattern in ("out", "in", "mixed"):
+                D = interleaved_star(k, pattern)
+                assert D.frontier_relabelled() is D
+
+    def test_arcless_does_no_search(self):
+        for n in (0, 3, 200_000_000):
+            D = Orientation(n, frozenset())
+            assert D.frontier_relabelled() is D
+            assert "_underlying" not in vars(D)
+
+    def test_routes_equal_their_cores_on_d(self, d1, d2, d3):
+        # the public routes run on D'; the cores on D as labelled
+        for D in self.corpus(d1, d2, d3):
+            assert count_ee_eo_wd(D) == _count_wd(D)
+            assert additive_coefficient(D) == _coefficient(D, _additive_steps)
+            assert classical_coefficient(D) == _coefficient(D, _classical_steps)
+
+    def test_cache_makes_no_reference_cycle(self):
+        # D in search order, or arcless, must not hold itself in its cache,
+        # nor a relabelled D' hold D, or each would wait for the cyclic
+        # collector to be freed
+        gc.disable()
+        try:
+            for arcs in ([(1, 2), (2, 3)], [(3, 1), (1, 2)], [(1, 3), (3, 2)], []):
+                D = Orientation(3, frozenset(arcs))
+                D.frontier_relabelled()
+                ref = weakref.ref(D)
+                del D
+                assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_pickle_and_deepcopy_after_the_engines(self, d1):
+        # the engines leave their caches on D; D must still copy and pickle
+        relabelled = Orientation(3, frozenset([(1, 3), (3, 2)]))
+        assert relabelled.frontier_relabelled() is not relabelled
+        for D in (d1, relabelled, Orientation(4, frozenset())):
+            expected = (count_ee_eo_wd(D), additive_coefficient(D), classical_coefficient(D))
+            for back in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D)):
+                assert back == D and hash(back) == hash(D)
+                assert back.frontier_relabelled() == D.frontier_relabelled()
+                assert (count_ee_eo_wd(back), additive_coefficient(back),
+                        classical_coefficient(back)) == expected
+
+    def test_same_order_for_arcs_given_in_any_order(self):
+        rng = random.Random(103)
+        for _ in range(50):
+            D = random_orientation(rng, n_min=3, n_max=10)
+            arcs = list(D.arcs)
+            runs = []
+            for _ in range(3):
+                rng.shuffle(arcs)
+                runs.append(Orientation(D.n, frozenset(arcs)).frontier_relabelled())
+            assert all(run == runs[0] for run in runs)
 
 
 class TestSymmetricDifference:

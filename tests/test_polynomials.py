@@ -30,6 +30,7 @@ from wdlab import (
     gen_sun,
     is_additive_coloring,
 )
+from wdlab.eulerian import DEFAULT_EULERIAN_BOUND
 from wdlab.polynomials import (
     _additive_steps,
     _bit_fields,
@@ -379,6 +380,17 @@ class TestCoefficients:
         for _ in range(60):
             D = random_orientation(rng, n_max=6, arc_cap=12)
             assert classical_coefficient(D) == count_ee_eo_classic(D).difference
+
+    def test_classical_matches_bruteforce_over_its_range(self):
+        # the route runs on D relabelled in search order, the brute force on
+        # D itself, up to the brute force's default arc bound
+        rng = random.Random(107)
+        relabelled = 0
+        for _ in range(40):
+            D = random_orientation(rng, n_min=4, n_max=12, arc_cap=DEFAULT_EULERIAN_BOUND)
+            relabelled += D.frontier_relabelled() is not D
+            assert classical_coefficient(D) == count_ee_eo_bruteforce(D).difference
+        assert relabelled >= 20
 
 
 class TestEvaluate:
