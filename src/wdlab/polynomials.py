@@ -12,12 +12,18 @@ cap in some coordinate; since factors only ever raise exponents, pruning
 never loses a coefficient that fits under the cap. Coefficients are exact
 Python integers throughout.
 
+Each factor is spelled once, as its (positive, negative) variables: a
+*split*. `_classical_splits` and `_additive_splits` read them off D, and
+`expand_capped` takes them from its `LinearFactor`s. One builder
+(`_packed`) turns every split into a packed step and a frontier key.
+
 `expand_capped` keeps every term under the cap, which a sweep needs: it
 reads one coefficient per orientation off the same product.
-`cap_coefficient` wants only the cap monomial, so it also eliminates each
-variable at its frontier (frontier-based search; Kawahara et al., IEICE
-2017). It takes the factors ordered by the largest variable they touch,
-then by support, and once x_u has had its last factor, every term whose
+`_coefficient`, behind `additive_coefficient` and `classical_coefficient`,
+wants only the cap monomial, so it also eliminates each variable at its
+frontier (frontier-based search; Kawahara et al., IEICE 2017). It takes
+the factors ordered by their keys, the largest variable they touch, then
+their support, and once x_u has had its last factor, every term whose
 u-exponent is below cap[u] can never reach the cap and is dropped. The
 live terms then differ only in the variables whose factors are still in
 progress, so the term map grows with the width of that frontier, not with
@@ -31,27 +37,24 @@ from the low end, so a field holds any exponent up to its cap and
 multiplying by x_u is one integer add. A cap-0 variable gets no field:
 its terms can never fire and are dropped before the product starts. The
 cap test masks the key and compares it with the cap shifted into place,
-and so does `cap_coefficient`'s retirement test. A `CappedPolynomial`
+and so does `_coefficient`'s retirement test. A `CappedPolynomial`
 keeps the packed map and each variable's unit; its exponent-vector view
 `terms` is built only when it is first read.
 
-Each factor becomes a packed *step*, one (sign, mask, cap, unit) entry per
-variable that can fire, and both engines multiply by the steps in one
-loop (`_product`). With each step comes a mask of the variables that
-retire there; a product is kept only when it already holds the cap in
-those fields. `expand_capped` passes mask 0, so it keeps every product.
-A coefficient that cancels to 0 is skipped when the next step reads it
+A packed *step* holds one (sign, mask, cap, unit) entry per variable that
+can fire, and both engines multiply by the steps in one loop
+(`_product`). With each step comes a mask of the variables that retire
+there; a product is kept only when it already holds the cap in those
+fields. `expand_capped` passes mask 0, so it keeps every product. A
+coefficient that cancels to 0 is skipped when the next step reads it
 rather than dropped by copying the map after every step; `expand_capped`
-drops the zeros once, at the end. `additive_coefficient` and
-`classical_coefficient` read their steps and frontier keys straight off
-D, with no `LinearFactor` in between; `_additive_splits` is the one
-spelling of the additive split, shared with `additive_factors`.
+drops the zeros once, at the end.
 
 The frontier follows the vertex labels, so the labels, not the graph,
 would set its width. `additive_coefficient` and `classical_coefficient`
-therefore run `_coefficient`, which takes D as given, on D relabelled in
+therefore run `_coefficient` on the splits of D relabelled in
 maximum-cardinality search order (`Orientation.frontier_relabelled`);
-`cap_coefficient` and `expand_capped` take their factors as labelled.
+`expand_capped` takes its factors as labelled.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .graphs import Orientation
 
@@ -69,6 +72,8 @@ ExponentVector = tuple[int, ...]
 Field = Mapping[int, tuple[int, int, int]]
 #: One factor in the packed layout: a (sign, mask, cap, unit) entry per term.
 Step = list[tuple[int, int, int, int]]
+#: One factor as its (positive, negative) variables.
+Split = tuple[Collection[int], Collection[int]]
 
 
 @dataclass(frozen=True)
@@ -134,18 +139,18 @@ class CappedPolynomial:
         return self.packed.get(sum(e * one for e, one in zip(exponents, self.unit)), 0)
 
 
-def classical_factors(D: Orientation) -> list[LinearFactor]:
-    """One (x_v - x_w) factor per arc, in sorted arc order."""
-    return [LinearFactor(((1, v), (-1, w))) for v, w in D.sorted_arcs()]
+def _classical_splits(D: Orientation) -> list[Split]:
+    """Each arc's classical factor (x_v - x_w) as its (positive, negative)
+    variables, ((v,), (w,)), in sorted arc order."""
+    return [((v,), (w,)) for v, w in D.sorted_arcs()]
 
 
-def _additive_splits(D: Orientation) -> list[tuple[frozenset[int], frozenset[int]]]:
+def _additive_splits(D: Orientation) -> list[Split]:
     """Each arc's additive factor as its (positive, negative) variables, in
     sorted arc order: N(w) \\ N(v) and N(v) \\ N(w) for the arc (v, w).
 
-    The one spelling of the split, shared by `additive_factors` and the
-    packed steps of `additive_coefficient`. v always lands in the positive
-    part and w in the negative one, so neither is ever empty.
+    v always lands in the positive part and w in the negative one, so
+    neither is ever empty.
     """
     if not D.arcs:
         return []
@@ -157,6 +162,20 @@ def _additive_splits(D: Orientation) -> list[tuple[frozenset[int], frozenset[int
     return splits
 
 
+def _factors(splits: Iterable[Split]) -> list[LinearFactor]:
+    """Each split as a `LinearFactor`: its positive variables ascending,
+    then its negative ones ascending."""
+    return [
+        LinearFactor(tuple([(1, u) for u in sorted(pos)] + [(-1, u) for u in sorted(neg)]))
+        for pos, neg in splits
+    ]
+
+
+def classical_factors(D: Orientation) -> list[LinearFactor]:
+    """One (x_v - x_w) factor per arc, in sorted arc order."""
+    return _factors(_classical_splits(D))
+
+
 def additive_factors(D: Orientation) -> list[LinearFactor]:
     """Neighbor-sum difference per arc, reduced to the disjoint parts.
 
@@ -164,21 +183,21 @@ def additive_factors(D: Orientation) -> list[LinearFactor]:
     negative ones N(v) \\ N(w), each ascending; w always appears negatively
     and v positively, so no factor is ever empty.
     """
-    return [
-        LinearFactor(tuple([(1, u) for u in sorted(pos)] + [(-1, u) for u in sorted(neg)]))
-        for pos, neg in _additive_splits(D)
-    ]
+    return _factors(_additive_splits(D))
 
 
 def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
     """The packed-key layout for `cap` (see the module docstring).
 
     Maps each variable u with cap[u] > 0 to its field as (mask, cap[u],
-    1), each shifted into place; a cap-0 variable has no entry.
+    1), each shifted into place; a cap-0 variable has no entry. Raises
+    ValueError for a cap entry that is not a nonnegative integer.
     """
     field: dict[int, tuple[int, int, int]] = {}
     width = 0
     for u, c in enumerate(cap, start=1):
+        if not isinstance(c, int) or c < 0:
+            raise ValueError(f"cap entry {c!r} of x_{u} is not a nonnegative integer")
         if c:
             bits = c.bit_length()
             field[u] = (((1 << bits) - 1) << width, c << width, 1 << width)
@@ -186,23 +205,29 @@ def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
     return field
 
 
-def _steps(factors: Sequence[LinearFactor], field: Field, n: int) -> list[Step]:
-    """Each factor's terms as (sign, mask, cap, unit) in the packed layout,
-    without the terms on cap-0 variables, which can never fire.
+def _packed(splits: Iterable[Split], field: Field) -> list[tuple[tuple[int, int], Step]]:
+    """Each split's frontier key and packed step, in the order given.
 
-    Raises ValueError for a term on a variable outside x_1..x_n, which the
-    n-entry cap does not cover.
+    The key is (largest variable, support), 0 standing for the largest
+    variable of an empty factor. The step holds a (sign, mask, cap, unit)
+    entry per positive, then per negative variable that has a field:
+    a cap-0 variable can never fire and gets none.
     """
-    steps = []
-    for factor in factors:
+    plus, minus = {}, {}
+    for u, f in field.items():
+        plus[u] = (1, *f)
+        minus[u] = (-1, *f)
+    keyed = []
+    for positive, negative in splits:
         step = []
-        for sign, u in factor.terms:
-            if u in field:
-                step.append((sign, *field[u]))
-            elif not 1 <= u <= n:
-                raise ValueError(f"factor term on x_{u} lies outside x_1..x_{n} of the cap")
-        steps.append(step)
-    return steps
+        for u in positive:
+            if u in plus:
+                step.append(plus[u])
+        for u in negative:
+            if u in minus:
+                step.append(minus[u])
+        keyed.append(((max((0, *positive, *negative)), len(positive) + len(negative)), step))
+    return keyed
 
 
 def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> dict[int, int]:
@@ -210,7 +235,7 @@ def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> di
     each step in turn, paired with that step's mask.
 
     A product is kept only when its fields under the step's mask equal the
-    cap's there: `cap_coefficient` passes the fields of the variables that
+    cap's there: `_coefficient` passes the fields of the variables that
     retire at the step, `expand_capped` mask 0, which keeps every product.
     No product past the cap in any field is formed. A coefficient that
     cancels to 0 stays in the map and is skipped when the next step reads
@@ -241,30 +266,44 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
     Factors are taken smallest support first to keep the working term map
     small; the product does not depend on the order. Every term under the
     cap is kept, with no frontier elimination (`_product` with mask 0), so
-    the map can grow with the size of the graph; `cap_coefficient` retires
+    the map can grow with the size of the graph; `_coefficient` retires
     variables instead when only the cap term is wanted. Terms are keyed by
     packed integers. Terms that cancel are skipped as the product goes and
     dropped once at the end, so `packed` holds no zero entry. Raises
-    ValueError for a factor term on a variable outside x_1..x_n, where
-    n = len(cap).
+    ValueError for a cap entry that is not a nonnegative integer and for a
+    factor term on a variable outside x_1..x_n, where n = len(cap).
     """
     cap = tuple(cap)
     field = _bit_fields(cap)
-    steps = _steps(sorted(factors, key=LinearFactor.support), field, len(cap))
-    terms = _product(steps, itertools.repeat(0), 0)
-    unit = tuple(field[u][2] if u in field else 0 for u in range(1, len(cap) + 1))
+    n = len(cap)
+    splits = []
+    for factor in sorted(factors, key=LinearFactor.support):
+        positive: list[int] = []
+        negative: list[int] = []
+        for sign, u in factor.terms:
+            if not 0 < u <= n:
+                raise ValueError(f"factor term on x_{u} lies outside x_1..x_{n} of the cap")
+            (positive if sign == 1 else negative).append(u)
+        splits.append((positive, negative))
+    terms = _product([step for _, step in _packed(splits, field)], itertools.repeat(0), 0)
+    unit = tuple(field[u][2] if u in field else 0 for u in range(1, n + 1))
     return CappedPolynomial(cap, {k: c for k, c in terms.items() if c}, unit)
 
 
-def _frontier_order(factor: LinearFactor) -> tuple[int, int]:
-    return max((u for _, u in factor.terms), default=0), factor.support()
+def _coefficient(splits: Iterable[Split], cap: ExponentVector) -> int:
+    """Coefficient of the cap monomial in the product of the splits'
+    factors, eliminated in frontier order.
 
-
-def _eliminate(steps: Sequence[Step], field: Field) -> int:
-    """Coefficient of the cap monomial in the product of `steps`, taken in
-    frontier order: each variable retires at its last step, after which
-    only terms with it at exactly its cap survive."""
-    packed_cap = sum(cap_u for _, cap_u, _ in field.values())
+    The factors are taken by their keys (a stable sort), and each variable
+    retires at its last step: after it, only terms with the variable at
+    exactly its cap survive. Returns 0 once a step has no entry that can
+    fire or no term survives. Every variable must lie in x_1..x_n, where
+    n = len(cap); the package's splits, read off D, always do.
+    """
+    field = _bit_fields(cap)
+    keyed = _packed(splits, field)
+    keyed.sort(key=itemgetter(0))
+    steps = [step for _, step in keyed]
     last: dict[int, int] = {}  # each variable's mask -> its last step
     for pos, step in enumerate(steps):
         for _, mask_u, _, _ in step:
@@ -272,63 +311,8 @@ def _eliminate(steps: Sequence[Step], field: Field) -> int:
     masks = [0] * len(steps)
     for mask_u, pos in last.items():
         masks[pos] |= mask_u
+    packed_cap = sum(cap_u for _, cap_u, _ in field.values())
     return _product(steps, masks, packed_cap).get(packed_cap, 0)
-
-
-def cap_coefficient(factors: Sequence[LinearFactor], cap: ExponentVector) -> int:
-    """Coefficient of the cap monomial in the product of the factors.
-
-    Equal to `expand_capped(factors, cap).coefficient(cap)`, computed by
-    frontier elimination over packed keys (see the module docstring) in the
-    same product loop as `expand_capped`: after the last factor holding
-    x_u, only terms with x_u at exactly cap[u] are kept. Terms that cancel
-    are skipped at the next factor. Returns 0 once a factor has no term
-    that can fire or no term survives. Raises ValueError for a factor term
-    on a variable outside x_1..x_n, where n = len(cap).
-    """
-    field = _bit_fields(cap)
-    return _eliminate(_steps(sorted(factors, key=_frontier_order), field, len(cap)), field)
-
-
-def _signed(field: Field) -> tuple[dict[int, tuple[int, int, int, int]], ...]:
-    """Each capped variable's step entry as (sign, mask, cap, unit), made once
-    per variable: one map for sign +1 and one for sign -1."""
-    return ({u: (1, *f) for u, f in field.items()}, {u: (-1, *f) for u, f in field.items()})
-
-
-def _classical_steps(D: Orientation, field: Field) -> list[tuple[tuple[int, int], Step]]:
-    """Each arc's frontier key and packed classical step, in sorted arc
-    order, read off D: what `_frontier_order` and `_steps` give for
-    `classical_factors(D)`."""
-    plus, minus = _signed(field)
-    return [
-        ((max(v, w), 2), [entry for entry in (plus.get(v), minus.get(w)) if entry])
-        for v, w in D.sorted_arcs()
-    ]
-
-
-def _additive_steps(D: Orientation, field: Field) -> list[tuple[tuple[int, int], Step]]:
-    """Each arc's frontier key and packed additive step, in sorted arc
-    order, read off D: what `_frontier_order` and `_steps` give for
-    `additive_factors(D)`, up to the order of a step's entries."""
-    plus, minus = _signed(field)
-    keyed = []
-    for positive, negative in _additive_splits(D):
-        step = [plus[u] for u in positive if u in plus]
-        step += [minus[u] for u in negative if u in minus]
-        keyed.append(((max(max(positive), max(negative)), len(positive) + len(negative)), step))
-    return keyed
-
-
-def _coefficient(
-    D: Orientation, steps_of: Callable[[Orientation, Field], list[tuple[tuple[int, int], Step]]]
-) -> int:
-    """The out-degree coefficient of the product of D's steps, eliminated
-    in frontier order (a stable sort of the arcs by their keys)."""
-    field = _bit_fields(D.out_degrees())
-    keyed = steps_of(D, field)
-    keyed.sort(key=itemgetter(0))
-    return _eliminate([step for _, step in keyed], field)
 
 
 def classical_coefficient(D: Orientation) -> int:
@@ -339,7 +323,8 @@ def classical_coefficient(D: Orientation) -> int:
     order (`Orientation.frontier_relabelled`); the coefficient does not
     depend on the labels.
     """
-    return _coefficient(D.frontier_relabelled(), _classical_steps)
+    D = D.frontier_relabelled()
+    return _coefficient(_classical_splits(D), D.out_degrees())
 
 
 def additive_coefficient(D: Orientation) -> int:
@@ -351,4 +336,5 @@ def additive_coefficient(D: Orientation) -> int:
     (`Orientation.frontier_relabelled`); the coefficient does not depend
     on the labels.
     """
-    return _coefficient(D.frontier_relabelled(), _additive_steps)
+    D = D.frontier_relabelled()
+    return _coefficient(_additive_splits(D), D.out_degrees())

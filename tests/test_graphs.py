@@ -35,7 +35,7 @@ from wdlab import (
     to_text,
 )
 from wdlab.eulerian import _count_wd
-from wdlab.polynomials import _additive_steps, _classical_steps, _coefficient
+from wdlab.polynomials import _additive_splits, _classical_splits, _coefficient
 
 
 class TestParse:
@@ -222,8 +222,8 @@ class TestFrontierRelabelling:
         # the public routes run on D'; the cores on D as labelled
         for D in self.corpus(d1, d2, d3):
             assert count_ee_eo_wd(D) == _count_wd(D)
-            assert additive_coefficient(D) == _coefficient(D, _additive_steps)
-            assert classical_coefficient(D) == _coefficient(D, _classical_steps)
+            assert additive_coefficient(D) == _coefficient(_additive_splits(D), D.out_degrees())
+            assert classical_coefficient(D) == _coefficient(_classical_splits(D), D.out_degrees())
 
     def test_cache_makes_no_reference_cycle(self):
         # D in search order, or arcless, must not hold itself in its cache,

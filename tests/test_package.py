@@ -1,12 +1,15 @@
-"""The package's shape: its exported names and the imports that keep the
-two certificate routes independent."""
+"""The package's shape: its exported names, the imports that keep the
+two certificate routes independent, and the names the benchmark's tracer
+binds to."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import wdlab
+from wdlab import coloring, eulerian, graphs, polynomials, wd
 
 EXPORTS = {
     "BoundExceededError",
@@ -82,3 +85,38 @@ def test_eulerian_route_shares_no_code_with_the_coefficient_route():
 
 def test_import_scan_sees_package_imports():
     assert package_imports("cli") >= {"coloring", "eulerian", "graphs", "polynomials", "wd"}
+
+
+def test_benchmark_tracer_hooks_bind_to_the_package():
+    # the benchmark's tracer wraps its targets by module and name and reads
+    # `support()` off expand_capped's first argument and `terms` off its
+    # result; one call to each target must land in its counters
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = polynomials.expand_capped
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        G = graphs.parse("3\n1 -- 2\n2 -- 3\n1 -- 3\n")
+        D = graphs.orientation_from_index(G, 0)
+        wd.build_wd(D)
+        eulerian.count_ee_eo_wd(D)
+        eulerian.count_ee_eo_classic(D)
+        polynomials.additive_coefficient(D)
+        polynomials.classical_coefficient(D)
+        polynomials.expand_capped(polynomials.additive_factors(D), D.out_degrees())
+        coloring.find_additive_coloring(G, {v: [1, 2, 3] for v in G.vertices()})
+        coloring.conjecture_sweep(G)
+        coloring.check_simplicial_sink_hypothesis(G, D)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    for name in spans.NAMES:
+        assert counts[name + ".calls"] >= 1, name
+    assert counts["polynomials.factor_support"] > 0
+    assert counts["polynomials.final_terms"] > 0
+    # uninstalled, the package's own functions are back in place
+    assert polynomials.expand_capped is original is wdlab.expand_capped

@@ -27,22 +27,20 @@ from wdlab import (
     count_ee_eo_wd,
     expand_capped,
     find_additive_coloring,
-    gen_sun,
     is_additive_coloring,
 )
 from wdlab.eulerian import DEFAULT_EULERIAN_BOUND
-from wdlab.polynomials import (
-    _additive_steps,
-    _bit_fields,
-    _classical_steps,
-    _frontier_order,
-    _steps,
-    cap_coefficient,
-)
+from wdlab.polynomials import _coefficient
 
 
 def F(*terms) -> LinearFactor:
     return LinearFactor(tuple(terms))
+
+
+def splits_of(factors) -> list[tuple[list[int], list[int]]]:
+    """Each factor as its (positive, negative) variables, in term order."""
+    return [([u for s, u in f.terms if s == 1], [u for s, u in f.terms if s == -1])
+            for f in factors]
 
 
 class TestFactors:
@@ -166,6 +164,19 @@ class TestExpand:
         # with x1 and x2 capped at 1 every term cancels: an empty map
         assert expand_capped(pair, (1, 1)).packed == {}
 
+    def test_negative_cap_entry_rejected(self):
+        # the empty product's constant term would sit above a cap of -1
+        for factors in ([], [F((1, 1))]):
+            with pytest.raises(ValueError, match="cap entry -1 of x_1"):
+                expand_capped(factors, (-1,))
+        with pytest.raises(ValueError, match="cap entry -2 of x_2"):
+            expand_capped([F((1, 1))], (1, -2))
+
+    def test_non_integer_cap_entry_rejected(self):
+        for cap in ((1.5,), (1, 2.0), ("1",)):
+            with pytest.raises(ValueError, match=f"cap entry {cap[-1]!r} of x_{len(cap)}"):
+                expand_capped([F((1, 1))], cap)
+
     def test_cap_soundness_random(self):
         rng = random.Random(53)
         for _ in range(40):
@@ -209,23 +220,23 @@ class TestCapCoefficient:
             want = expand_capped_tuples(factors, cap).get(cap, 0)
             shuffled = factors[:]
             rng.shuffle(shuffled)
-            assert cap_coefficient(factors, cap) == want
-            assert cap_coefficient(shuffled, cap) == want
+            assert _coefficient(splits_of(factors), cap) == want
+            assert _coefficient(splits_of(shuffled), cap) == want
             nonzero += want != 0
         assert nonzero > 30
 
     def test_zero_cap_and_unused_variables(self):
         factors = [F((1, 1), (-1, 2)), F((1, 1), (1, 2))]
-        assert cap_coefficient(factors, (2, 0, 0)) == 1
-        assert cap_coefficient(factors, (0, 2, 0)) == -1
-        assert cap_coefficient(factors, (1, 1, 0)) == 0
+        assert _coefficient(splits_of(factors), (2, 0, 0)) == 1
+        assert _coefficient(splits_of(factors), (0, 2, 0)) == -1
+        assert _coefficient(splits_of(factors), (1, 1, 0)) == 0
         # x3 is in no factor, so a positive cap on it can never be met
-        assert cap_coefficient(factors, (1, 0, 1)) == 0
-        assert cap_coefficient([], (0, 0)) == 1
-        assert cap_coefficient([], (1, 0)) == 0
-        assert cap_coefficient([F()], (0,)) == 0
+        assert _coefficient(splits_of(factors), (1, 0, 1)) == 0
+        assert _coefficient(splits_of([]), (0, 0)) == 1
+        assert _coefficient(splits_of([]), (1, 0)) == 0
+        assert _coefficient(splits_of([F()]), (0,)) == 0
         # every variable of the second factor has cap 0, so none can fire
-        assert cap_coefficient([F((1, 1)), F((1, 2), (-1, 3))], (1, 0, 0)) == 0
+        assert _coefficient(splits_of([F((1, 1)), F((1, 2), (-1, 3))]), (1, 0, 0)) == 0
 
     def test_every_term_cancels_partway(self):
         # capped at (1, 1), (x1 + x2)(x1 - x2) leaves only x1 x2, at 1 - 1 = 0;
@@ -235,34 +246,30 @@ class TestCapCoefficient:
         # each cap sums to the number of factors and is met by some product
         for factors, cap in ((pair, (1, 1)), (pair + rest[:1], (1, 1, 1, 0)),
                              (pair + rest, (1, 1, 3, 0))):
-            assert cap_coefficient(factors, cap) == 0
+            assert _coefficient(splits_of(factors), cap) == 0
             assert expand_capped_tuples(factors, cap).get(cap, 0) == 0
             # the factors after the pair alone do reach their part of the cap
-            assert cap_coefficient(factors[2:], (0, 0) + cap[2:]) != 0
+            assert _coefficient(splits_of(factors[2:]), (0, 0) + cap[2:]) != 0
         # the same chain with no cancellation under the cap is nonzero
-        assert cap_coefficient([F((1, 1), (1, 2)), F((1, 1), (1, 2))], (1, 1)) == 2
+        assert _coefficient(splits_of([F((1, 1), (1, 2)), F((1, 1), (1, 2))]), (1, 1)) == 2
         # a later factor that holds only cap-0 variables also gives 0
-        assert cap_coefficient([F((1, 1), (1, 2)), F((1, 3))], (1, 1, 0)) == 0
+        assert _coefficient(splits_of([F((1, 1), (1, 2)), F((1, 3))]), (1, 1, 0)) == 0
 
-    @pytest.mark.parametrize("engine", ["expand_capped", "cap_coefficient"])
+    @pytest.mark.parametrize("engine", ["expand_capped"])
     def test_variable_outside_cap_rejected(self, engine):
         # u = 0 and u = n + 1, on a capped and on a cap-0 neighbour, are
         # named, never dropped
-        run, in_range = {
-            "expand_capped": (lambda factors, cap: expand_capped(factors, cap).terms, {(1, 1): 1}),
-            "cap_coefficient": (cap_coefficient, 1),
-        }[engine]
         for cap in ((1, 1), (1, 0)):
             for u in (0, 3):
                 factors = [F((1, u), (1, 1)), F((1, 1))]
                 with pytest.raises(ValueError, match=f"x_{u} lies outside x_1..x_2"):
-                    run(factors, cap)
+                    expand_capped(factors, cap)
         with pytest.raises(ValueError, match="x_3"):
-            run([F((1, 3)), F((1, 1))], (1, 1))
+            expand_capped([F((1, 3)), F((1, 1))], (1, 1))
         with pytest.raises(ValueError, match="x_1 lies outside x_1..x_0"):
-            run([F((1, 1))], ())
+            expand_capped([F((1, 1))], ())
         # in range, the same factors still expand
-        assert run([F((1, 2), (1, 1)), F((1, 1))], (1, 1)) == in_range
+        assert expand_capped([F((1, 2), (1, 1)), F((1, 1))], (1, 1)).terms == {(1, 1): 1}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16])
     def test_field_widths_on_stars(self, k):
@@ -273,7 +280,7 @@ class TestCapCoefficient:
             cap = D.out_degrees()
             for factors in (additive_factors(D), classical_factors(D)):
                 want = expand_capped_tuples(factors, cap).get(tuple(cap), 0)
-                assert cap_coefficient(factors, cap) == want
+                assert _coefficient(splits_of(factors), cap) == want
                 assert expand_capped(factors, cap).coefficient(cap) == want
             assert classical_coefficient(D) == count_ee_eo_classic(D).difference
 
@@ -301,29 +308,6 @@ class TestCapCoefficient:
 
 
 class TestPackedSteps:
-    @pytest.mark.parametrize("route", ["additive", "classical"])
-    def test_steps_read_off_d_match_the_factors(self, route, d1, d2, d3):
-        # the coefficients build their packed steps and frontier keys
-        # straight off D; per arc they must hold what `_steps` and
-        # `_frontier_order` make of the factors, entry order aside
-        steps_of, factors_of = {
-            "additive": (_additive_steps, additive_factors),
-            "classical": (_classical_steps, classical_factors),
-        }[route]
-        rng = random.Random(97)
-        corpus = [d1, d2, d3, gen_sun(4), Orientation(3, frozenset())]
-        corpus += [random_orientation(rng, n_min=2, n_max=9) for _ in range(100)]
-        for D in corpus:
-            factors = factors_of(D)
-            # the out-degree cap drops every sink; the all-ones cap none
-            for cap in (D.out_degrees(), (1,) * D.n):
-                field = _bit_fields(cap)
-                keyed = steps_of(D, field)
-                assert len(keyed) == len(factors)
-                for (key, step), factor, want in zip(keyed, factors, _steps(factors, field, D.n)):
-                    assert key == _frontier_order(factor)
-                    assert sorted(step) == sorted(want)
-
     def test_relabelling_keeps_the_coefficient(self):
         # a relabelling of D changes the frontier order and the field layout,
         # but not the coefficient, which the W(D) counter also gives
