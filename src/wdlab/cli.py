@@ -87,9 +87,12 @@ def _cmd_build_wd(args) -> int:
     D = _load_orientation(args.file)
     vertices, arcs = wd_size(D)
     if not args.json:
-        # only the listing needs W(D) itself; the counts come from its size
+        # only the listing needs W(D) itself; the counts come from its size.
+        # It is built before anything is printed, so a run that stops while
+        # building it leaves stdout empty
+        listing = sorted(build_wd(D).arcs, key=warc_key)
         print(vertices)
-        for a, b in sorted(build_wd(D).arcs, key=warc_key):
+        for a, b in listing:
             print(f"{a} -> {b}")
     print(_dump({"vertices": vertices, "arcs": arcs, "sectors": len(D.arcs)}))
     return 0

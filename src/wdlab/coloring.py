@@ -232,8 +232,8 @@ def check_simplicial_sink_hypothesis(G: Graph, D: Orientation) -> bool:
 
 
 def _simplicial_sinks(G: Graph, D: Orientation) -> frozenset[int]:
-    sinks = (u for u, out in enumerate(D.out_degrees(), 1) if out == 0)
-    return frozenset(u for u in sinks if _is_simplicial(G, u))
+    tails = D._out_degree_map  # a sink is the tail of no arc
+    return frozenset(u for u in G.vertices() if u not in tails and _is_simplicial(G, u))
 
 
 def check_tripartite_hypothesis(

@@ -182,8 +182,6 @@ def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, 
     targets split N(v) symm-diff N(w), read straight off the two
     neighbourhoods: N(v) \\ N(w) are direct, N(w) \\ N(v) without v detours.
     """
-    if not D.arcs:
-        return []
     adj = D._adjacency()
     plan = []
     for v, w in D.sorted_arcs():

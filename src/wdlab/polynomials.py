@@ -21,14 +21,14 @@ Each factor is spelled once, as its (positive, negative) variables: a
 reads one coefficient per orientation off the same product.
 `_coefficient`, behind `additive_coefficient` and `classical_coefficient`,
 wants only the cap monomial, so it also eliminates each variable at its
-frontier (frontier-based search; Kawahara et al., IEICE 2017). It takes
-the factors ordered by their keys, the largest variable they touch, then
-their support, and once x_u has had its last factor, every term whose
-u-exponent is below cap[u] can never reach the cap and is dropped. The
-live terms then differ only in the variables whose factors are still in
-progress, so the term map grows with the width of that frontier, not with
-the size of the graph: on a directed path of 1200 vertices it never holds
-more than 3 terms.
+frontier (frontier-based search; Kawahara et al., IEICE 2017). Both
+engines take the factors ordered by their keys, the largest variable they
+touch, then their support. Once x_u has had its last factor, every term
+whose u-exponent is below cap[u] can never reach the cap, and
+`_coefficient` drops it. The live terms then differ only in the variables
+whose factors are still in progress, so the term map grows with the width
+of that frontier, not with the size of the graph: on a directed path of
+1200 vertices it never holds more than 3 terms.
 
 Both engines key each term by one packed integer, not by an exponent
 vector, with one layout (`_bit_fields`). Variable u with cap[u] > 0 owns
@@ -132,8 +132,11 @@ class CappedPolynomial:
                 f"exponents {exponents} have {len(exponents)} entries,"
                 f" the cap {self.cap} has {len(self.cap)}"
             )
-        if any(e < 0 for e in exponents):
-            raise ValueError(f"exponents {exponents} have a negative entry")
+        # a non-integer entry would pack to the key of another monomial
+        if any(not isinstance(e, int) or e < 0 for e in exponents):
+            raise ValueError(
+                f"exponents {exponents} have an entry that is not a nonnegative integer"
+            )
         if any(e > c for e, c in zip(exponents, self.cap)):
             raise ValueError(f"exponents {exponents} exceed the cap {self.cap}")
         return self.packed.get(sum(e * one for e, one in zip(exponents, self.unit)), 0)
@@ -152,8 +155,6 @@ def _additive_splits(D: Orientation) -> list[Split]:
     v always lands in the positive part and w in the negative one, so
     neither is ever empty.
     """
-    if not D.arcs:
-        return []
     adj = D._adjacency()
     splits = []
     for v, w in D.sorted_arcs():
@@ -186,16 +187,17 @@ def additive_factors(D: Orientation) -> list[LinearFactor]:
     return _factors(_additive_splits(D))
 
 
-def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
-    """The packed-key layout for `cap` (see the module docstring).
+def _bit_fields(caps: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int, int]]:
+    """The packed-key layout for the (variable, cap) pairs `caps`, given in
+    ascending variable order (see the module docstring).
 
-    Maps each variable u with cap[u] > 0 to its field as (mask, cap[u],
-    1), each shifted into place; a cap-0 variable has no entry. Raises
+    Maps each variable u with a cap c > 0 to its field as (mask, c, 1),
+    each shifted into place; a cap-0 variable has no entry. Raises
     ValueError for a cap entry that is not a nonnegative integer.
     """
     field: dict[int, tuple[int, int, int]] = {}
     width = 0
-    for u, c in enumerate(cap, start=1):
+    for u, c in caps:
         if not isinstance(c, int) or c < 0:
             raise ValueError(f"cap entry {c!r} of x_{u} is not a nonnegative integer")
         if c:
@@ -205,12 +207,13 @@ def _bit_fields(cap: ExponentVector) -> dict[int, tuple[int, int, int]]:
     return field
 
 
-def _packed(splits: Iterable[Split], field: Field) -> list[tuple[tuple[int, int], Step]]:
-    """Each split's frontier key and packed step, in the order given.
+def _packed(splits: Iterable[Split], field: Field) -> list[Step]:
+    """Each split's packed step, in frontier order.
 
-    The key is (largest variable, support), 0 standing for the largest
-    variable of an empty factor. The step holds a (sign, mask, cap, unit)
-    entry per positive, then per negative variable that has a field:
+    Frontier order sorts the splits by their keys, (largest variable,
+    support), 0 standing for the largest variable of an empty factor;
+    equal keys keep the order given. The step holds a (sign, mask, cap,
+    unit) entry per positive, then per negative variable that has a field:
     a cap-0 variable can never fire and gets none.
     """
     plus, minus = {}, {}
@@ -227,7 +230,7 @@ def _packed(splits: Iterable[Split], field: Field) -> list[tuple[tuple[int, int]
             if u in minus:
                 step.append(minus[u])
         keyed.append(((max((0, *positive, *negative)), len(positive) + len(negative)), step))
-    return keyed
+    return [step for _, step in sorted(keyed, key=itemgetter(0))]
 
 
 def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> dict[int, int]:
@@ -263,21 +266,22 @@ def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> di
 def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> CappedPolynomial:
     """Multiply the factors, discarding terms that overflow the cap.
 
-    Factors are taken smallest support first to keep the working term map
-    small; the product does not depend on the order. Every term under the
-    cap is kept, with no frontier elimination (`_product` with mask 0), so
-    the map can grow with the size of the graph; `_coefficient` retires
-    variables instead when only the cap term is wanted. Terms are keyed by
-    packed integers. Terms that cancel are skipped as the product goes and
-    dropped once at the end, so `packed` holds no zero entry. Raises
-    ValueError for a cap entry that is not a nonnegative integer and for a
-    factor term on a variable outside x_1..x_n, where n = len(cap).
+    Factors are taken in the frontier order of `_coefficient`, by the
+    largest variable they touch, then by support; the product does not
+    depend on the order. Every term under the cap is kept, with no
+    frontier elimination (`_product` with mask 0), so the map can grow
+    with the size of the graph; `_coefficient` retires variables instead
+    when only the cap term is wanted. Terms are keyed by packed integers.
+    Terms that cancel are skipped as the product goes and dropped once at
+    the end, so `packed` holds no zero entry. Raises ValueError for a cap
+    entry that is not a nonnegative integer and for a factor term on a
+    variable outside x_1..x_n, where n = len(cap).
     """
     cap = tuple(cap)
-    field = _bit_fields(cap)
+    field = _bit_fields(enumerate(cap, 1))
     n = len(cap)
     splits = []
-    for factor in sorted(factors, key=LinearFactor.support):
+    for factor in factors:
         positive: list[int] = []
         negative: list[int] = []
         for sign, u in factor.terms:
@@ -285,25 +289,23 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
                 raise ValueError(f"factor term on x_{u} lies outside x_1..x_{n} of the cap")
             (positive if sign == 1 else negative).append(u)
         splits.append((positive, negative))
-    terms = _product([step for _, step in _packed(splits, field)], itertools.repeat(0), 0)
+    terms = _product(_packed(splits, field), itertools.repeat(0), 0)
     unit = tuple(field[u][2] if u in field else 0 for u in range(1, n + 1))
     return CappedPolynomial(cap, {k: c for k, c in terms.items() if c}, unit)
 
 
-def _coefficient(splits: Iterable[Split], cap: ExponentVector) -> int:
+def _coefficient(splits: Iterable[Split], cap: Mapping[int, int]) -> int:
     """Coefficient of the cap monomial in the product of the splits'
     factors, eliminated in frontier order.
 
-    The factors are taken by their keys (a stable sort), and each variable
-    retires at its last step: after it, only terms with the variable at
-    exactly its cap survive. Returns 0 once a step has no entry that can
-    fire or no term survives. Every variable must lie in x_1..x_n, where
-    n = len(cap); the package's splits, read off D, always do.
+    `cap` maps each variable to its exponent in the monomial, and a
+    variable it does not name has cap 0, so D's out-degree map serves as
+    it is. Each variable retires at its last step: after it, only terms
+    with the variable at exactly its cap survive. Returns 0 once a step
+    has no entry that can fire or no term survives.
     """
-    field = _bit_fields(cap)
-    keyed = _packed(splits, field)
-    keyed.sort(key=itemgetter(0))
-    steps = [step for _, step in keyed]
+    field = _bit_fields(sorted(cap.items(), key=itemgetter(0)))
+    steps = _packed(splits, field)
     last: dict[int, int] = {}  # each variable's mask -> its last step
     for pos, step in enumerate(steps):
         for _, mask_u, _, _ in step:
@@ -324,7 +326,7 @@ def classical_coefficient(D: Orientation) -> int:
     depend on the labels.
     """
     D = D.frontier_relabelled()
-    return _coefficient(_classical_splits(D), D.out_degrees())
+    return _coefficient(_classical_splits(D), D._out_degree_map)
 
 
 def additive_coefficient(D: Orientation) -> int:
@@ -337,4 +339,4 @@ def additive_coefficient(D: Orientation) -> int:
     on the labels.
     """
     D = D.frontier_relabelled()
-    return _coefficient(_additive_splits(D), D.out_degrees())
+    return _coefficient(_additive_splits(D), D._out_degree_map)

@@ -211,7 +211,7 @@ def wd_size(D: Orientation) -> tuple[int, int]:
     and |A| = sum(1 + 2d + 3e) over the arcs of D.
     """
     vertices, arcs = D.n, 0
-    adj = D._adjacency() if D.arcs else {}
+    adj = D._adjacency()
     for v, w in D.arcs:
         nv, nw = adj[v], adj[w]
         direct = len(nv - nw)

@@ -482,3 +482,39 @@ class TestErrors:
             main([command, str(path), "--threads", threads])
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+HUGE_ARC = "200000000\n1 -> 2\n"
+HUGE_EDGE = "200000000\n1 -- 2\n"
+#: (file, command, stdout) on a huge header with one edge; stdout None
+#: marks a command that still builds a table per vertex
+HUGE_HEADER_CASES = [
+    (HUGE_ARC, ["count"], "ee=1\neo=0\ndifference=1\n"),
+    (HUGE_ARC, ["count", "--classic"], "ee=1\neo=0\ndifference=1\n"),
+    (HUGE_ARC, ["build-wd", "--json"], '{"vertices":200000002,"arcs":3,"sectors":1}\n'),
+    (HUGE_ARC, ["coefficient"], "1\n"),
+    (HUGE_ARC, ["coefficient", "--classic"], "1\n"),
+    (HUGE_ARC, ["build-wd"], None),
+    (HUGE_ARC, ["coefficient", "--json"], None),
+    (HUGE_ARC, ["check-hypothesis"], None),
+    (HUGE_ARC, ["check-hypothesis", "--tripartite"], None),
+    (HUGE_EDGE, ["color", "--lists", '{"1":[1],"2":[2]}'], None),
+    (HUGE_EDGE, ["sweep"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, argv, answer",
+    HUGE_HEADER_CASES,
+    ids=[" ".join(argv[:2]) for _, argv, _ in HUGE_HEADER_CASES],
+)
+def test_huge_header_with_one_edge(tmp_path, text, argv, answer):
+    # an isolated vertex owns no table entry, so a command whose answer is
+    # not per vertex answers inside a 512 MiB address space; the others
+    # still build a table per vertex and must stop with exit 2, never 1
+    done = run_in_512_mib(tmp_path, text, *argv)
+    if answer is None:
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("wd-lab: error:") and "Traceback" not in done.stderr
+    else:
+        assert (done.returncode, done.stdout) == (0, answer), done.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -106,6 +107,13 @@ class TestExpand:
         assert poly.coefficient((1, 0)) == 1
         for exponents in ((-1, 1), (0, -1), (-1, -1)):
             with pytest.raises(ValueError, match="negative"):
+                poly.coefficient(exponents)
+
+    def test_coefficient_rejects_non_integer_entries(self):
+        # packed, (0.5, 0.25) would read the key of (1, 0): 0.5 + 0.25 * 2
+        poly = expand_capped([F((1, 1), (-1, 2))], (1, 1))
+        for exponents in ((0.5, 0.25), (1.0, 0), ("1", 0)):
+            with pytest.raises(ValueError, match=re.escape(f"exponents {exponents} have an entry")):
                 poly.coefficient(exponents)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16])
@@ -220,23 +228,24 @@ class TestCapCoefficient:
             want = expand_capped_tuples(factors, cap).get(cap, 0)
             shuffled = factors[:]
             rng.shuffle(shuffled)
-            assert _coefficient(splits_of(factors), cap) == want
-            assert _coefficient(splits_of(shuffled), cap) == want
+            assert _coefficient(splits_of(factors), dict(enumerate(cap, 1))) == want
+            assert _coefficient(splits_of(shuffled), dict(enumerate(cap, 1))) == want
             nonzero += want != 0
         assert nonzero > 30
 
     def test_zero_cap_and_unused_variables(self):
         factors = [F((1, 1), (-1, 2)), F((1, 1), (1, 2))]
-        assert _coefficient(splits_of(factors), (2, 0, 0)) == 1
-        assert _coefficient(splits_of(factors), (0, 2, 0)) == -1
-        assert _coefficient(splits_of(factors), (1, 1, 0)) == 0
+        assert _coefficient(splits_of(factors), dict(enumerate((2, 0, 0), 1))) == 1
+        assert _coefficient(splits_of(factors), dict(enumerate((0, 2, 0), 1))) == -1
+        assert _coefficient(splits_of(factors), dict(enumerate((1, 1, 0), 1))) == 0
         # x3 is in no factor, so a positive cap on it can never be met
-        assert _coefficient(splits_of(factors), (1, 0, 1)) == 0
-        assert _coefficient(splits_of([]), (0, 0)) == 1
-        assert _coefficient(splits_of([]), (1, 0)) == 0
-        assert _coefficient(splits_of([F()]), (0,)) == 0
+        assert _coefficient(splits_of(factors), dict(enumerate((1, 0, 1), 1))) == 0
+        assert _coefficient(splits_of([]), dict(enumerate((0, 0), 1))) == 1
+        assert _coefficient(splits_of([]), dict(enumerate((1, 0), 1))) == 0
+        assert _coefficient(splits_of([F()]), dict(enumerate((0,), 1))) == 0
         # every variable of the second factor has cap 0, so none can fire
-        assert _coefficient(splits_of([F((1, 1)), F((1, 2), (-1, 3))]), (1, 0, 0)) == 0
+        factors = [F((1, 1)), F((1, 2), (-1, 3))]
+        assert _coefficient(splits_of(factors), dict(enumerate((1, 0, 0), 1))) == 0
 
     def test_every_term_cancels_partway(self):
         # capped at (1, 1), (x1 + x2)(x1 - x2) leaves only x1 x2, at 1 - 1 = 0;
@@ -246,14 +255,16 @@ class TestCapCoefficient:
         # each cap sums to the number of factors and is met by some product
         for factors, cap in ((pair, (1, 1)), (pair + rest[:1], (1, 1, 1, 0)),
                              (pair + rest, (1, 1, 3, 0))):
-            assert _coefficient(splits_of(factors), cap) == 0
+            assert _coefficient(splits_of(factors), dict(enumerate(cap, 1))) == 0
             assert expand_capped_tuples(factors, cap).get(cap, 0) == 0
             # the factors after the pair alone do reach their part of the cap
-            assert _coefficient(splits_of(factors[2:]), (0, 0) + cap[2:]) != 0
+            assert _coefficient(splits_of(factors[2:]), dict(enumerate((0, 0) + cap[2:], 1))) != 0
         # the same chain with no cancellation under the cap is nonzero
-        assert _coefficient(splits_of([F((1, 1), (1, 2)), F((1, 1), (1, 2))]), (1, 1)) == 2
+        factors = [F((1, 1), (1, 2)), F((1, 1), (1, 2))]
+        assert _coefficient(splits_of(factors), dict(enumerate((1, 1), 1))) == 2
         # a later factor that holds only cap-0 variables also gives 0
-        assert _coefficient(splits_of([F((1, 1), (1, 2)), F((1, 3))]), (1, 1, 0)) == 0
+        factors = [F((1, 1), (1, 2)), F((1, 3))]
+        assert _coefficient(splits_of(factors), dict(enumerate((1, 1, 0), 1))) == 0
 
     @pytest.mark.parametrize("engine", ["expand_capped"])
     def test_variable_outside_cap_rejected(self, engine):
@@ -280,7 +291,7 @@ class TestCapCoefficient:
             cap = D.out_degrees()
             for factors in (additive_factors(D), classical_factors(D)):
                 want = expand_capped_tuples(factors, cap).get(tuple(cap), 0)
-                assert _coefficient(splits_of(factors), cap) == want
+                assert _coefficient(splits_of(factors), dict(enumerate(cap, 1))) == want
                 assert expand_capped(factors, cap).coefficient(cap) == want
             assert classical_coefficient(D) == count_ee_eo_classic(D).difference
 
