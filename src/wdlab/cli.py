@@ -5,9 +5,9 @@ coloring, no witness, hypothesis false), 2 on bad input, an exceeded
 enumeration bound, or a run that exhausts recursion depth or memory.
 All output is deterministic for a fixed input; big integers appear in
 JSON as decimal strings. The environment variable WD_LAB_BOUND, a
-non-negative integer in ASCII digits, overrides the default edge/arc
-enumeration bounds (20 for orientation sweeps, 24 for Eulerian brute
-force).
+non-negative integer in ASCII digits, overrides the default edge bound of
+orientation sweeps (20 edges); no other command reads it. Both `count`
+modes run one frontier counter and stop at its state bound.
 """
 
 from __future__ import annotations
@@ -100,10 +100,7 @@ def _cmd_build_wd(args) -> int:
 
 def _cmd_count(args) -> int:
     D = _load_orientation(args.file)
-    if args.classic:
-        count = count_ee_eo_classic(D, bound=_env_bound())
-    else:
-        count = count_ee_eo_wd(D)
+    count = count_ee_eo_classic(D) if args.classic else count_ee_eo_wd(D)
     payload = {
         "ee": str(count.ee),
         "eo": str(count.eo),

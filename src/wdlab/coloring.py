@@ -58,7 +58,8 @@ def is_additive_coloring(G: Graph, ell: Mapping[int, int]) -> bool:
 
 
 def _validated_lists(G: Graph, lists: Mapping[int, Sequence[int]]) -> list[list[int]]:
-    if set(lists) != set(G.vertices()):
+    # lengths first: lists shorter than a huge header fail without a set of 1..n
+    if len(lists) != G.n or set(lists) != set(G.vertices()):
         raise ValueError("lists must cover exactly the vertices 1..n")
     out = []
     for v in G.vertices():
@@ -225,15 +226,17 @@ def check_simplicial_sink_hypothesis(G: Graph, D: Orientation) -> bool:
     Decided as bipartiteness of G minus the set S of simplicial vertices
     with out-degree 0, which is exactly "every odd cycle meets S". When
     true, W(D) has no odd Eulerian subdigraph, so list colorability at
-    sizes out-degree + 1 follows.
+    sizes out-degree + 1 follows. An isolated vertex is a simplicial sink
+    but lies on no cycle, so S and the walk read only touched vertices.
     """
     _require_orients(G, D)
     return two_color(G, excluded=_simplicial_sinks(G, D)) is not None
 
 
 def _simplicial_sinks(G: Graph, D: Orientation) -> frozenset[int]:
+    """The simplicial sinks of D that some edge touches."""
     tails = D._out_degree_map  # a sink is the tail of no arc
-    return frozenset(u for u in G.vertices() if u not in tails and _is_simplicial(G, u))
+    return frozenset(u for u in G._adj if u not in tails and _is_simplicial(G, u))
 
 
 def check_tripartite_hypothesis(
@@ -258,13 +261,15 @@ def check_tripartite_hypothesis(
             for u, v in G.edges:
                 if u in cls and v in cls:
                     raise ValueError(f"partition is not a proper coloring: edge ({u}, {v})")
-        # vacuous empty classes do not witness the hypothesis
-        return any(cls and cls <= sinks for cls in partition.classes)
+        # vacuous empty classes do not witness the hypothesis; an isolated
+        # vertex is a simplicial sink that `sinks` leaves out
+        return any(cls and (cls - sinks).isdisjoint(G._adj) for cls in partition.classes)
     # No two sinks are adjacent, since every edge leaves one of its ends, so
-    # the sinks S form a class of their own. If some class C of sinks
-    # qualifies, G - C is bipartite, and so is its subgraph G - S: S itself
-    # qualifies whenever any class does.
-    return bool(sinks) and two_color(G, excluded=sinks) is not None
+    # the sinks S, isolated vertices included, form a class of their own. If
+    # some class C of sinks qualifies, G - C is bipartite, and so is its
+    # subgraph G - S: S itself qualifies whenever any class does, and it is
+    # non-empty when a touched sink or an isolated vertex exists.
+    return bool(sinks or G.n > len(G._adj)) and two_color(G, excluded=sinks) is not None
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,19 @@
 
 An arc subset is (spanning) Eulerian when every vertex has equal in- and
 out-degree within the subset; the empty subset always qualifies and counts
-as even. Two independent routes are provided: a generic pruned
-include/exclude enumeration that works on any digraph, and a structured
-counter for W(D) that walks gamma-path choices per arc of D instead of raw
-arc subsets. The latter relabels D in maximum-cardinality search order,
-keeps one level of star-balance states at a time, each packed into one
-integer, takes the arcs in frontier order and prunes each state on the
-stars the current arc touches (see `count_ee_eo_wd`).
-Tests hold the two routes to exact agreement, and the W(D) counter to the
-coefficient route of `polynomials`, which it does not share code with.
+as even. There is one oracle and one frontier counter. The oracle is a
+generic pruned include/exclude enumeration that works on any digraph, up
+to a bound on its arcs. The counter reads a *plan*, one entry per arc of an
+orientation D: a tail, the targets whose choice flips the parity, and the
+targets whose choice keeps it. Two plans feed it. The plan of D itself
+(`count_ee_eo_classic`) has one flipping target per arc, its head; the plan
+of W(D) (`count_ee_eo_wd`) walks gamma-path choices per arc of D instead of
+raw arc subsets of W(D). Both counts relabel D in maximum-cardinality
+search order, keep one level of balance states at a time, each packed
+into one integer, take the arcs in frontier order and prune each state on
+the vertices the current arc touches (see `_count`).
+Tests hold both counts to the oracle, and each to the matching coefficient
+route of `polynomials`, which they do not share code with.
 
 All counts are exact Python integers; nothing here can overflow.
 """
@@ -25,10 +29,12 @@ from .graphs import Orientation
 
 #: Largest arc count for which subset enumeration is allowed by default.
 DEFAULT_EULERIAN_BOUND = 24
-#: Most balance states one level of the W(D) counter may hold by default.
+#: Most balance states one level of the frontier counter may hold by default.
 DEFAULT_WD_STATE_BOUND = 1_200_000
 
 Arc = tuple[Hashable, Hashable]
+#: Per arc of D: its tail, the targets that flip the parity, the others.
+Plan = list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ def _check_bound(m: int, bound: Optional[int]) -> None:
     if m > limit:
         raise BoundExceededError(
             f"digraph has {m} arcs, above the enumeration bound {limit}"
-            " (raise WD_LAB_BOUND or the bound argument)"
+            " (raise the bound argument)"
         )
 
 
@@ -164,23 +170,33 @@ def count_ee_eo_bruteforce(H, bound: Optional[int] = None) -> EulerianCount:
     return EulerianCount(ee, eo)
 
 
+# ---------------------------------------------------------------------------
+# Frontier counter, on the plan of D or of W(D)
+# ---------------------------------------------------------------------------
+
 def count_ee_eo_classic(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
-    """Even/odd Eulerian counts of the orientation itself."""
-    return count_ee_eo_bruteforce(D, bound)
+    """Even/odd Eulerian counts of the orientation itself.
+
+    The frontier counter on the plan of D (`_classical_plan`), run as in
+    `count_ee_eo_wd`: `bound` is its state bound, and past 24 arcs it still
+    answers where the frontier stays narrow. ee - eo is the coefficient of
+    the classical graph polynomial (Alon and Tarsi, Combinatorica 1992).
+    """
+    return _frontier_count(D, _classical_plan, bound)
 
 
-# ---------------------------------------------------------------------------
-# Structured counter for W(D)
-# ---------------------------------------------------------------------------
+def _classical_plan(D: Orientation) -> Plan:
+    """(tail, (head,), ()) per arc of D: one target, whose choice adds the
+    arc to the subset and so flips the parity."""
+    return [(v, (w,), ()) for v, w in D.sorted_arcs()]
 
-def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(tail, direct targets, detour targets) per arc of D, in frontier order.
 
-    Arcs are sorted by the largest star they touch (their tail or a
-    target), then by their number of targets, so that every star's
-    remaining capacity runs out early and pins its balance to zero. The
-    targets split N(v) symm-diff N(w), read straight off the two
+def _wd_arc_plan(D: Orientation) -> Plan:
+    """(tail, direct targets, detour targets) per arc of D, in arc order.
+
+    The targets split N(v) symm-diff N(w), read straight off the two
     neighbourhoods: N(v) \\ N(w) are direct, N(w) \\ N(v) without v detours.
+    A direct path has 3 arcs and flips the parity; a detour has 4.
     """
     adj = D._adjacency()
     plan = []
@@ -189,7 +205,7 @@ def _wd_arc_plan(D: Orientation) -> list[tuple[int, tuple[int, ...], tuple[int, 
         detour = sorted(nw - nv)
         detour.remove(v)  # v is in N(w) but is never a target
         plan.append((v, tuple(sorted(nv - nw)), tuple(detour)))
-    return sorted(plan, key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
+    return plan
 
 
 def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
@@ -200,75 +216,94 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
     exact, and star balance is the only Eulerian constraint left. The
     balance of star z is the number of chosen paths leaving z* minus those
     entering it, and a selection is Eulerian when every balance is zero.
+    The frontier counter runs on the plan of these choices (`_wd_arc_plan`).
 
-    The arcs are taken in the order of `_wd_arc_plan`, one level at a time
-    (frontier-based search; Kawahara et al., IEICE 2017): a level maps each
-    packed balance key reached so far to its (even, odd) selection counts,
-    where parity counts the chosen direct (3-arc) paths; detours have 4
-    arcs. After each arc, a state survives only if the stars the arc
-    touches can still close to zero with the arcs left: -out <= balance <=
-    in, counting the remaining paths out of and into each star. Once a
-    star's last arc is past, its balance is pinned to zero, so the live
-    states grow with the width of the frontier; on a directed path of 1200
-    vertices a level never holds more than 3. Only the current level is
-    kept, and the answer is the all-zero state after the last arc.
+    Raises BoundExceededError once one level holds more than `bound`
+    states (default DEFAULT_WD_STATE_BOUND) in both orders (see
+    `_frontier_count`).
+    """
+    return _frontier_count(D, _wd_arc_plan, bound)
 
-    A key is one integer with a field per star that some arc touches; an
-    untouched star's balance is always 0 and gets no field, so the counter
-    does no per-vertex work. The field of star z stores balance +
+
+def _frontier_count(D: Orientation, plan_of, bound: Optional[int]) -> EulerianCount:
+    """`_count` on the plan of D relabelled, falling back to D as labelled.
+
+    The counter orders the arcs by vertex label, so the labels, not the
+    graph, would set the frontier width: it runs on D relabelled in
+    maximum-cardinality search order (`Orientation.frontier_relabelled`),
+    which changes how fast it answers, never the answer. The search order
+    narrows most frontiers but not all, so when D' stops at the state
+    bound the counter runs again on D as labelled: every input that
+    answers in label order answers, and when neither order fits, the
+    error is the one of the label order.
+    """
+    relabelled = D.frontier_relabelled()
+    if relabelled is not D:
+        try:
+            return _count(plan_of(relabelled), bound)
+        except BoundExceededError:
+            pass  # rerun below, once the failed run's levels are freed
+    return _count(plan_of(D), bound)
+
+
+def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
+    """Even/odd counts of the balanced selections of a plan.
+
+    A selection chooses per plan entry either nothing or one of its
+    targets x, which sends one unit from the tail to x. It is balanced when
+    every vertex sends as much as it receives, and its parity counts the
+    chosen targets that flip it. For W(D) the balance of vertex z is that
+    of its star z*.
+
+    The entries are taken in frontier order, one level at a time
+    (frontier-based search; Kawahara et al., IEICE 2017): sorted by the
+    largest vertex they touch, then by their number of targets, so that
+    every vertex's remaining capacity runs out early and pins its balance
+    to zero. A level maps each packed balance key reached so far to its
+    (even, odd) selection counts. After each entry, a state survives only
+    if the vertices the entry touches can still close to zero with the
+    entries left: -out <= balance <= in, counting the remaining units out
+    of and into each vertex. Once a vertex's last entry is past, its
+    balance is pinned to zero, so the live states grow with the width of the
+    frontier; on a directed path of 1200 vertices a level never holds more
+    than 3. Only the current level is kept, and the answer is the all-zero
+    state after the last entry.
+
+    A key is one integer with a field per vertex that some entry touches;
+    an untouched vertex's balance is always 0 and gets no field, so the
+    counter does no per-vertex work. The field of vertex z stores balance +
     out_total(z), which lies in 0..out_total(z) + in_total(z) and is never
-    negative, so taking a path from v to x adds one precomputed constant.
+    negative, so sending a unit from v to x adds one precomputed constant.
     Above each field sits a guard bit, always 0 in a key: adding to the
     targets' fields their distance from the top of the field sets the
     guard bit of exactly the targets above their new upper end, which one
     mask then reads for all of them at once.
 
     On sparse inputs a level holds about two states, so the fixed work per
-    arc sets the cost, and it is kept to plain loops: the plan reads N(v)
-    and N(w) once per arc, the star totals and bounds are dicts over the
-    stars the plan touches, and one loop over an arc's targets builds its
-    choices, the guard-bit map of forced choices, the guard mask and the
-    probe. Each star's lower and upper field bounds are kept in its place
-    and move by one unit when an arc leaves or enters it.
-
-    The plan orders the arcs by vertex label, so the labels, not the graph,
-    would set the frontier width: the counter runs on D relabelled in
-    maximum-cardinality search order (`Orientation.frontier_relabelled`),
-    which changes how fast it answers, never the answer. The search order
-    narrows most frontiers but not all, so when D' stops at the state
-    bound the counter runs again on D as labelled: every input that
-    answers in label order answers. `_count_wd` is the counter on D as
-    given.
+    entry sets the cost, and it is kept to plain loops: the vertex totals
+    and bounds are dicts over the vertices the plan touches, and one loop
+    over an entry's targets builds its choices, the guard-bit map of
+    forced choices, the guard mask and the probe. Each vertex's lower and
+    upper field bounds are kept in its place and move by one unit when an
+    entry leaves or enters it.
 
     Raises BoundExceededError once one level holds more than `bound`
-    states (default DEFAULT_WD_STATE_BOUND) in both orders; the error is
-    the one of the label order.
+    states (default DEFAULT_WD_STATE_BOUND).
     """
-    relabelled = D.frontier_relabelled()
-    if relabelled is not D:
-        try:
-            return _count_wd(relabelled, bound)
-        except BoundExceededError:
-            pass  # rerun below, once the failed run's levels are freed
-    return _count_wd(D, bound)
-
-
-def _count_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
-    """The counter of `count_ee_eo_wd`, with the arcs of D as labelled."""
     limit = DEFAULT_WD_STATE_BOUND if bound is None else bound
-    plan = _wd_arc_plan(D)
-    # paths out of and into each star the plan touches; no other star gets
-    # an entry, so nothing here is per vertex
+    plan = sorted(plan, key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
+    # units out of and into each vertex the plan touches; no other vertex
+    # gets an entry, so nothing here is per vertex
     out_total: dict[int, int] = {}
     in_total: dict[int, int] = {}
-    for v, direct, detour in plan:
+    for v, flip, keep in plan:
         out_total[v] = out_total.get(v, 0) + 1
-        for x in direct + detour:
+        for x in flip + keep:
             in_total[x] = in_total.get(x, 0) + 1
     # the field layout, its bias and the guard bits are in the docstring;
-    # low[z] and high[z] hold the bounds of star z's field, in z's place,
-    # for the arcs not yet taken: (out_total - rem_out) and (out_total +
-    # rem_in) times one[z], where rem_out and rem_in count those arcs
+    # low[z] and high[z] hold the bounds of vertex z's field, in z's place,
+    # for the entries not yet taken: (out_total - rem_out) and (out_total +
+    # rem_in) times one[z], where rem_out and rem_in count those entries
     field: dict[int, int] = {}
     one: dict[int, int] = {}
     guard: dict[int, int] = {}
@@ -287,23 +322,23 @@ def _count_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
         zero |= out_z << width
         width += bits + 1
     level: dict[int, list[int]] = {zero: [1, 0]}
-    for v, direct, detour in plan:
-        # Every state was feasible before this arc, and the arc lowers only
-        # v's out-capacity and each target's in-capacity by one. So v stays
-        # feasible unless it sits at the new lower end minus one, where only
-        # taking a path (v + 1) saves it; a target stays feasible unless it
+    for v, flip, keep in plan:
+        # Every state was feasible before this entry, and the entry lowers
+        # only v's out-capacity and each target's in-capacity by one. So v
+        # stays feasible unless it sits at the new lower end minus one, where
+        # only sending a unit (v + 1) saves it; a target stays feasible unless it
         # sits at its new upper end plus one, where only choosing it saves it.
-        # Star z's field reads balance + out_total(z), so each balance bound
+        # Vertex z's field reads balance + out_total(z), so each balance bound
         # is a compare of the masked key against a constant in z's place.
         v_one, v_field, v_high = one[v], field[v], high[v]
         v_low = low[v] = low[v] + v_one
         choices = []
         forced = {}
         guards = probe = 0
-        for x in direct + detour:
+        for x in flip + keep:
             x_one = one[x]
             x_high = high[x] = high[x] - x_one
-            choice = (field[x], low[x], v_one - x_one, x in direct)
+            choice = (field[x], low[x], v_one - x_one, x in flip)
             choices.append(choice)
             x_guard = guard[x]
             forced[x_guard] = choice
@@ -333,7 +368,7 @@ def _count_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
                         continue
                     bumped = key + step
                     slot = get(bumped)
-                    # a direct path flips the parity; spelled out twice
+                    # a flipping target swaps the pair; spelled out twice
                     # rather than through a swapped pair per product
                     if flips:
                         if slot is None:
@@ -348,7 +383,7 @@ def _count_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
                         slot[1] += odd
             if len(nxt) > limit:
                 raise BoundExceededError(
-                    f"a W(D) level reached {len(nxt)} balance states,"
+                    f"a level reached {len(nxt)} balance states,"
                     f" above the state bound {limit} (raise the bound argument)"
                 )
         level = nxt

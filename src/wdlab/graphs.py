@@ -1,7 +1,7 @@
 """Simple undirected graphs, orientations, and structural predicates.
 
 Vertices are the contiguous integers 1..n, fixed by the file header. The
-W(D) counter and the coefficient route order their frontier by vertex
+Eulerian counter and the coefficient route order their frontier by vertex
 label, so each runs on D relabelled by a maximum-cardinality search
 (`Orientation.frontier_relabelled`); their answers are label-invariant,
 and nothing else in the package relabels. Graphs and orientations are
@@ -185,8 +185,9 @@ class Orientation:
         keeps its own; D' holds each arc of D under the new labels. When the
         order is the identity, D' is D itself. Only touched vertices are
         read, so an untouched one costs nothing. Computed once per
-        orientation, so the W(D) counter and the coefficient route share
-        one search.
+        orientation, so the three engines that read D', the Eulerian
+        counter on the plans of D and of W(D) and the coefficient route,
+        share one search.
         """
         relabelled = self._frontier_relabelled
         return self if relabelled is None else relabelled
@@ -359,11 +360,12 @@ def to_text(obj: Graph | Orientation) -> str:
 def two_color(G: Graph, excluded: frozenset[int] = frozenset()) -> Optional[dict[int, int]]:
     """2-color G, or G minus `excluded`; None if an odd cycle remains.
 
-    Each component is anchored at its smallest vertex, which gets color 0,
-    so the coloring is deterministic.
+    Only vertices some edge touches get a color: an isolated vertex lies
+    on no cycle and takes either color. Each component is anchored at its
+    smallest vertex, which gets color 0, so the coloring is deterministic.
     """
     color: dict[int, int] = {}
-    for start in G.vertices():
+    for start in G._adj:  # in vertex order
         if start in excluded or start in color:
             continue
         color[start] = 0

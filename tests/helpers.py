@@ -324,8 +324,9 @@ def is_bipartite(G: Graph) -> Optional[VertexPartition]:
     color = two_color(G)
     if color is None:
         return None
-    side0 = frozenset(v for v in G.vertices() if color[v] == 0)
-    side1 = frozenset(v for v in G.vertices() if color[v] == 1)
+    # two_color leaves isolated vertices uncolored; they join class 0
+    side0 = frozenset(v for v in G.vertices() if color.get(v, 0) == 0)
+    side1 = frozenset(v for v in G.vertices() if color.get(v) == 1)
     return VertexPartition((side0, side1))
 
 

@@ -35,6 +35,13 @@ def d2_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def c4_file(tmp_path):
+    path = tmp_path / "c4.g"
+    path.write_text("4\n1 -- 2\n2 -- 3\n3 -- 4\n1 -- 4\n")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -85,30 +92,15 @@ class TestCount:
         done = run_in_512_mib(tmp_path, "200000000\n", "count")
         assert (done.returncode, done.stdout) == (0, "ee=1\neo=0\ndifference=1\n"), done.stderr
 
-    def test_classic_respects_env_bound(self, capsys, d1_file, monkeypatch):
-        monkeypatch.setenv("WD_LAB_BOUND", "3")
-        code, _, err = run(capsys, "count", d1_file, "--classic")
-        assert code == 2
-        assert "WD_LAB_BOUND" in err
-        monkeypatch.setenv("WD_LAB_BOUND", "30")
-        code, out, _ = run(capsys, "count", d1_file, "--classic", "--json")
-        assert code == 0
-
-    def test_bad_env_bound(self, capsys, d1_file, monkeypatch):
-        monkeypatch.setenv("WD_LAB_BOUND", "many")
-        code, _, err = run(capsys, "count", d1_file, "--classic")
-        assert code == 2 and "WD_LAB_BOUND" in err
-
-    @pytest.mark.parametrize("raw", ["2_4", "-1", "+30", "\u0663\u0660", ""])
-    def test_env_bound_is_a_non_negative_ascii_integer(self, capsys, d1_file, monkeypatch, raw):
-        # int() reads "2_4" as 24 and the Arabic-Indic digits as 30; -1 used
-        # to reach the counter and fail as an exceeded bound
-        monkeypatch.setenv("WD_LAB_BOUND", raw)
-        code, out, err = run(capsys, "count", d1_file, "--classic")
-        assert code == 2 and out == ""
-        assert f"WD_LAB_BOUND must be a non-negative integer, got {raw!r}" in err
-        monkeypatch.setenv("WD_LAB_BOUND", " 24 ")
-        assert run(capsys, "count", d1_file, "--classic")[0] == 0
+    def test_classic_ignores_env_bound(self, capsys, d1_file, monkeypatch):
+        # WD_LAB_BOUND is the sweep's edge bound; both counts stop at the
+        # state bound alone
+        monkeypatch.delenv("WD_LAB_BOUND", raising=False)
+        expected = run(capsys, "count", d1_file, "--classic")
+        assert expected == (0, "ee=1\neo=0\ndifference=1\n", "")
+        for raw in ("3", "many"):
+            monkeypatch.setenv("WD_LAB_BOUND", raw)
+            assert run(capsys, "count", d1_file, "--classic") == expected
 
     def test_edgeless_graph_promotes(self, capsys, tmp_path):
         path = tmp_path / "iso.g"
@@ -126,16 +118,22 @@ class TestCount:
         assert int(count["ee"]) - int(count["eo"]) == additive_coefficient(parse(path.read_text()))
 
     def test_classic_long_directed_path_needs_no_recursion(self, capsys, tmp_path, monkeypatch):
-        # 1199 arcs under a raised bound: the enumeration is a loop, so its
-        # depth is not the interpreter's recursion limit
+        # 1199 arcs, far past the brute force's 24, with no bound raised:
+        # the frontier counter is a loop and holds a few states per level
         path = tmp_path / "path1200.dg"
         path.write_text("1200\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1, 1200)))
-        monkeypatch.setenv("WD_LAB_BOUND", "5000")
+        monkeypatch.delenv("WD_LAB_BOUND", raising=False)
         assert run(capsys, "count", str(path), "--classic") == (0, "ee=1\neo=0\ndifference=1\n", "")
 
     def test_wd_state_bound_exits_2(self, capsys, d2_file, monkeypatch):
         monkeypatch.setattr("wdlab.eulerian.DEFAULT_WD_STATE_BOUND", 1)
         code, out, err = run(capsys, "count", d2_file)
+        assert code == 2 and out == ""
+        assert err.startswith("wd-lab: error:") and "state bound 1" in err
+
+    def test_classic_state_bound_exits_2(self, capsys, d2_file, monkeypatch):
+        monkeypatch.setattr("wdlab.eulerian.DEFAULT_WD_STATE_BOUND", 1)
+        code, out, err = run(capsys, "count", d2_file, "--classic")
         assert code == 2 and out == ""
         assert err.startswith("wd-lab: error:") and "state bound 1" in err
 
@@ -380,12 +378,29 @@ class TestSweep:
         assert info.value.code == 2 and captured.out == ""
         assert "--limit" in captured.err
 
-    def test_env_bound(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "c4.g"
-        path.write_text("4\n1 -- 2\n2 -- 3\n3 -- 4\n1 -- 4\n")
+    def test_env_bound(self, capsys, c4_file, monkeypatch):
         monkeypatch.setenv("WD_LAB_BOUND", "3")
-        code, _, err = run(capsys, "sweep", str(path))
+        code, _, err = run(capsys, "sweep", c4_file)
         assert code == 2 and "WD_LAB_BOUND" in err
+        monkeypatch.setenv("WD_LAB_BOUND", "30")
+        code, out, _ = run(capsys, "sweep", c4_file, "--json")
+        assert code == 0
+
+    def test_bad_env_bound(self, capsys, c4_file, monkeypatch):
+        monkeypatch.setenv("WD_LAB_BOUND", "many")
+        code, _, err = run(capsys, "sweep", c4_file)
+        assert code == 2 and "WD_LAB_BOUND" in err
+
+    @pytest.mark.parametrize("raw", ["2_4", "-1", "+30", "\u0663\u0660", ""])
+    def test_env_bound_is_a_non_negative_ascii_integer(self, capsys, c4_file, monkeypatch, raw):
+        # int() reads "2_4" as 24 and the Arabic-Indic digits as 30; -1 used
+        # to reach the sweep and fail as an exceeded bound
+        monkeypatch.setenv("WD_LAB_BOUND", raw)
+        code, out, err = run(capsys, "sweep", c4_file)
+        assert code == 2 and out == ""
+        assert f"WD_LAB_BOUND must be a non-negative integer, got {raw!r}" in err
+        monkeypatch.setenv("WD_LAB_BOUND", " 24 ")
+        assert run(capsys, "sweep", c4_file)[0] == 0
 
 
 class TestGen:
@@ -496,11 +511,13 @@ HUGE_HEADER_CASES = [
     (HUGE_ARC, ["coefficient", "--classic"], "1\n"),
     (HUGE_ARC, ["build-wd"], None),
     (HUGE_ARC, ["coefficient", "--json"], None),
-    (HUGE_ARC, ["check-hypothesis"], None),
-    (HUGE_ARC, ["check-hypothesis", "--tripartite"], None),
+    (HUGE_ARC, ["check-hypothesis"], "true\n"),
+    (HUGE_ARC, ["check-hypothesis", "--tripartite"], "true\n"),
     (HUGE_EDGE, ["color", "--lists", '{"1":[1],"2":[2]}'], None),
     (HUGE_EDGE, ["sweep"], None),
 ]
+#: the fault a command that stops at once on a huge header must name
+HUGE_HEADER_ERRORS = {"color": "lists must cover exactly the vertices 1..n"}
 
 
 @pytest.mark.parametrize(
@@ -516,5 +533,6 @@ def test_huge_header_with_one_edge(tmp_path, text, argv, answer):
     if answer is None:
         assert (done.returncode, done.stdout) == (2, ""), done.stderr
         assert done.stderr.startswith("wd-lab: error:") and "Traceback" not in done.stderr
+        assert HUGE_HEADER_ERRORS.get(argv[0], "") in done.stderr
     else:
         assert (done.returncode, done.stdout) == (0, answer), done.stderr

@@ -238,9 +238,10 @@ class TestSimplicialSinkHypothesis:
         graphs += [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(200)]
         for G in graphs:
             D = orientation_from_index(G, rng.randrange(1 << len(G.edges)))
-            expected = {u for u in simplicial_vertices(G) if D.out_degree(u) == 0}
+            expected = {u for u in simplicial_vertices(G) if D.out_degree(u) == 0 and G.degree(u)}
             assert _simplicial_sinks(G, D) == expected
-        assert _simplicial_sinks(edgeless, Orientation(6, frozenset())) == set(range(1, 7))
+        # an isolated vertex is a simplicial sink on no cycle, so it is left out
+        assert _simplicial_sinks(edgeless, Orientation(6, frozenset())) == set()
         # the transitive tournament's only sink is its last vertex
         assert _simplicial_sinks(k5, orientation_from_index(k5, 0)) == {5}
 
@@ -275,6 +276,17 @@ class TestTripartiteHypothesis:
     def test_sun_search_without_partition(self):
         D = gen_sun(2)
         assert check_tripartite_hypothesis(D.underlying(), D)
+
+    def test_isolated_vertex_is_a_sink_class(self):
+        # the directed 4-cycle has no sink, but the isolated vertex 5 is a
+        # simplicial sink, found both with and without a partition
+        D = Orientation(5, frozenset([(1, 2), (2, 3), (3, 4), (4, 1)]))
+        G = D.underlying()
+        assert check_tripartite_hypothesis(G, D)
+        partition = VertexPartition((frozenset({1, 3}), frozenset({2, 4}), frozenset({5})))
+        assert check_tripartite_hypothesis(G, D, partition)
+        no_isolated = Orientation(4, D.arcs)
+        assert not check_tripartite_hypothesis(no_isolated.underlying(), no_isolated)
 
     def test_k4_fails(self):
         G = gen_complete(4)

@@ -27,6 +27,7 @@ from wdlab import (
     Star,
     additive_coefficient,
     build_wd,
+    classical_coefficient,
     count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
@@ -34,7 +35,7 @@ from wdlab import (
     gamma_paths_for_arc,
     gen_sun,
 )
-from wdlab.eulerian import _count_wd, _wd_arc_plan
+from wdlab.eulerian import DEFAULT_EULERIAN_BOUND, _count, _wd_arc_plan
 
 THREE_CYCLE = [(1, 2), (2, 3), (3, 1)]
 TWO_TWO_CYCLES = [(1, 2), (2, 1), (3, 4), (4, 3)]
@@ -65,7 +66,7 @@ class TestEnumerate:
 
     def test_bound(self):
         arcs = [(i, i + 1) for i in range(1, 27)]
-        with pytest.raises(BoundExceededError, match="WD_LAB_BOUND"):
+        with pytest.raises(BoundExceededError, match="26 arcs, above the enumeration bound 24"):
             next(enumerate_eulerian_spanning(arcs))
         assert list(enumerate_eulerian_spanning(arcs, bound=26)) == [()]
 
@@ -123,6 +124,28 @@ class TestClassic:
         count = count_ee_eo_classic(d2)
         assert count.eo >= 1
         assert (count.ee, count.eo) == naive_ee_eo(d2.arcs)
+
+    def test_matches_bruteforce_up_to_its_bound(self):
+        # the oracle check of the frontier counter on the plan of D itself
+        rng = random.Random(109)
+        relabelled = 0
+        for _ in range(300):
+            D = random_orientation(rng, n_min=2, n_max=10, arc_cap=DEFAULT_EULERIAN_BOUND)
+            relabelled += D.frontier_relabelled() is not D
+            assert count_ee_eo_classic(D) == count_ee_eo_bruteforce(D)
+        assert relabelled >= 100
+
+    def test_matches_classical_coefficient_past_the_enumeration_bound(self):
+        # past 24 arcs the brute force refuses, and the coefficient route
+        # is the independent check
+        corpus = [gnp_orientation(f"x:g{n}:{k}", n) for n in (14, 16, 18, 20) for k in "ab"]
+        assert all(len(D.arcs) > DEFAULT_EULERIAN_BOUND for D in corpus)
+        for D in corpus:
+            assert count_ee_eo_classic(D).difference == classical_coefficient(D)
+        g24 = gnp_orientation("x:g24", 24)
+        assert len(g24.arcs) == 77
+        assert count_ee_eo_classic(g24) == EulerianCount(109275553, 109275588)
+        assert classical_coefficient(g24) == -35
 
 
 class TestWdCounter:
@@ -200,9 +223,9 @@ class TestWdCounter:
         # the pruning moves it
         D = gnp_orientation(name, n)
         assert len(D.arcs) == 23
-        assert _count_wd(D, bound=peak) == EulerianCount(ee, eo)
+        assert _count(_wd_arc_plan(D), bound=peak) == EulerianCount(ee, eo)
         with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
-            _count_wd(D, bound=peak - 1)
+            _count(_wd_arc_plan(D), bound=peak - 1)
 
     @pytest.mark.parametrize(
         "name, n, peak, ee, eo",
@@ -215,9 +238,9 @@ class TestWdCounter:
         # the same orientations relabelled in search order: narrower on
         # wd:g12:c, wider on wd:g13:b; a change to the search order moves it
         D = gnp_orientation(name, n).frontier_relabelled()
-        assert _count_wd(D, bound=peak) == EulerianCount(ee, eo)
+        assert _count(_wd_arc_plan(D), bound=peak) == EulerianCount(ee, eo)
         with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
-            _count_wd(D, bound=peak - 1)
+            _count(_wd_arc_plan(D), bound=peak - 1)
 
     def test_answers_when_either_order_fits_the_bound(self):
         # wd:g12:c fits 7,152 states only in search order, wd:g13:b 12,000
@@ -234,7 +257,7 @@ class TestWdCounter:
 
     def test_plan_splits_as_symmetric_difference(self, d1, d2, d3):
         # the plan reads the two neighbourhoods itself; it must split them as
-        # symmetric_difference_neighborhoods does, in the same frontier order
+        # symmetric_difference_neighborhoods does, in arc order
         rng = random.Random(67)
         corpus = [d1, d2, d3, gen_sun(4), Orientation(3, frozenset())]
         corpus += [random_orientation(rng, n_min=2, n_max=9) for _ in range(100)]
@@ -243,7 +266,6 @@ class TestWdCounter:
             for v, w in D.sorted_arcs():
                 direct, detour = symmetric_difference_neighborhoods(D, v, w)
                 expected.append((v, tuple(sorted(direct)), tuple(sorted(detour))))
-            expected.sort(key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
             assert _wd_arc_plan(D) == expected
 
     def test_state_bound(self, d2):

@@ -24,6 +24,7 @@ from wdlab import (
     ParseError,
     additive_coefficient,
     classical_coefficient,
+    count_ee_eo_classic,
     count_ee_eo_wd,
     gen_complete,
     gen_complete_bipartite,
@@ -34,7 +35,7 @@ from wdlab import (
     simplicial_vertices,
     to_text,
 )
-from wdlab.eulerian import _count_wd
+from wdlab.eulerian import _classical_plan, _count, _wd_arc_plan
 from wdlab.polynomials import _additive_splits, _classical_splits, _coefficient
 
 
@@ -221,7 +222,8 @@ class TestFrontierRelabelling:
     def test_routes_equal_their_cores_on_d(self, d1, d2, d3):
         # the public routes run on D'; the cores on D as labelled
         for D in self.corpus(d1, d2, d3):
-            assert count_ee_eo_wd(D) == _count_wd(D)
+            assert count_ee_eo_wd(D) == _count(_wd_arc_plan(D))
+            assert count_ee_eo_classic(D) == _count(_classical_plan(D))
             cap = dict(enumerate(D.out_degrees(), 1))
             assert additive_coefficient(D) == _coefficient(_additive_splits(D), cap)
             assert classical_coefficient(D) == _coefficient(_classical_splits(D), cap)
