@@ -7,7 +7,9 @@ All output is deterministic for a fixed input; big integers appear in
 JSON as decimal strings. The environment variable WD_LAB_BOUND, a
 non-negative integer in ASCII digits, overrides the default edge bound of
 orientation sweeps (20 edges); no other command reads it. Both `count`
-modes run one frontier counter and stop at its state bound.
+modes run one frontier counter and stop at its state bound. A command
+stopped by a bound names the bound and its value, and WD_LAB_BOUND when
+that raises it; no command has a bound argument to raise.
 """
 
 from __future__ import annotations
@@ -293,7 +295,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, BoundExceededError, ValueError) as exc:
+    except BoundExceededError as exc:
+        # the library's message also names its bound argument, which no
+        # command has; only an environment variable raises a bound here
+        knob = "" if exc.env is None else f" (raise {exc.env})"
+        print(f"wd-lab: error: {exc.reason}{knob}", file=sys.stderr)
+        return 2
+    except (ParseError, ValueError) as exc:
         print(f"wd-lab: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -164,7 +164,7 @@ def _additive_colorings(
             if nodes > limit:
                 raise BoundExceededError(
                     f"the coloring search reached {nodes} nodes,"
-                    f" above the node bound {limit} (raise the bound argument)"
+                    f" above the node bound {limit}"
                 )
             a = values[i]
             for y in around:

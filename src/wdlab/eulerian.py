@@ -67,10 +67,7 @@ def _arc_list(H) -> list[Arc]:
 def _check_bound(m: int, bound: Optional[int]) -> None:
     limit = DEFAULT_EULERIAN_BOUND if bound is None else bound
     if m > limit:
-        raise BoundExceededError(
-            f"digraph has {m} arcs, above the enumeration bound {limit}"
-            " (raise the bound argument)"
-        )
+        raise BoundExceededError(f"digraph has {m} arcs, above the enumeration bound {limit}")
 
 
 def enumerate_eulerian_spanning(H, bound: Optional[int] = None) -> Iterator[tuple[Arc, ...]]:
@@ -384,7 +381,7 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
             if len(nxt) > limit:
                 raise BoundExceededError(
                     f"a level reached {len(nxt)} balance states,"
-                    f" above the state bound {limit} (raise the bound argument)"
+                    f" above the state bound {limit}"
                 )
         level = nxt
     even, odd = level.get(zero, (0, 0))

@@ -69,7 +69,12 @@ class Graph:
     @classmethod
     def _of_checked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
         """A graph from normalized edges whose checks have already passed
-        elsewhere, made without running `__post_init__` over them again."""
+        elsewhere, made without running `__post_init__` over them again.
+
+        Two callers own those checks: `parse`, which rejects a negative
+        count, loops, out-of-range ids and duplicates with its own
+        messages, and `Orientation._underlying`, whose arcs `__post_init__`
+        has checked."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "edges", edges)
@@ -127,6 +132,20 @@ class Orientation:
                 raise ValueError(f"arc ({v}, {w}) out of range 1..{self.n}")
             if (w, v) in self.arcs:
                 raise ValueError(f"both directions of {{{v}, {w}}} present")
+
+    @classmethod
+    def _of_checked(cls, n: int, arcs: frozenset[tuple[int, int]]) -> "Orientation":
+        """An orientation from arcs whose checks have already passed
+        elsewhere, made without running `__post_init__` over them again.
+
+        Two callers own those checks: `parse`, which rejects a negative
+        count, loops, out-of-range ids, duplicates and antiparallel pairs
+        with its own messages, and `_frontier_relabelled`, whose arcs are a
+        checked orientation's under a permutation of its labels."""
+        D = object.__new__(cls)
+        object.__setattr__(D, "n", n)
+        object.__setattr__(D, "arcs", arcs)
+        return D
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -207,7 +226,9 @@ class Orientation:
         if order == touched:
             return None
         perm = dict(zip(order, touched))
-        return Orientation(self.n, frozenset([(perm[v], perm[w]) for v, w in self.arcs]))
+        return Orientation._of_checked(
+            self.n, frozenset([(perm[v], perm[w]) for v, w in self.arcs])
+        )
 
 
 def _search_order(adj: dict[int, frozenset[int]], vertices: list[int]) -> list[int]:
@@ -290,10 +311,15 @@ def parse(text: str) -> Graph | Orientation:
     line is the vertex count n; every following line is ``u -- v`` for an
     undirected edge or ``u -> v`` for an arc. A file must stick to one edge
     style; a file with no edge lines parses as an edgeless Graph.
+
+    Parse owns every check of the result: a negative count, a loop, an id
+    out of range, a duplicate and, for arcs, both directions of one pair
+    each raise `ParseError` naming the line. So the pairs it has seen,
+    normalized edges or arcs as written, become the graph or orientation
+    through `_of_checked`, without the constructor checking them again.
     """
     n: Optional[int] = None
     style: Optional[str] = None
-    edges: list[tuple[int, int]] = []
     seen_pairs: set[tuple[int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -335,13 +361,12 @@ def parse(text: str) -> Graph | Orientation:
                 raise ParseError(f"line {lineno}: both directions of {{{u}, {v}}} present")
             key = (u, v)
         seen_pairs.add(key)
-        edges.append((u, v))
 
     if n is None:
         raise ParseError("empty file: missing vertex count")
     if style == "->":
-        return Orientation(n, frozenset(edges))
-    return Graph.of(n, edges)
+        return Orientation._of_checked(n, frozenset(seen_pairs))
+    return Graph._of_checked(n, frozenset(seen_pairs))
 
 
 def to_text(obj: Graph | Orientation) -> str:
@@ -466,7 +491,6 @@ def orientation_count(G: Graph, bound: Optional[int] = None) -> int:
     m = len(G.edges)
     if m > limit:
         raise BoundExceededError(
-            f"graph has {m} edges, above the orientation bound {limit}"
-            " (raise WD_LAB_BOUND or the bound argument)"
+            f"graph has {m} edges, above the orientation bound {limit}", env="WD_LAB_BOUND"
         )
     return 1 << m

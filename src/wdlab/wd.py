@@ -13,14 +13,17 @@ target is a neighbor of w but not of v or v itself (detour). The spanning
 Eulerian subdigraphs of W(D) are exactly the unions of edge-disjoint
 gamma-paths whose star in/out traffic balances, which is what makes the
 structured counters in `eulerian` possible. The same fact defines the
-digraph here: the private `_sector` is the one place that spells out a
-sector, as its entry arc plus the rest of each target's path. The public
-`gamma_paths_for_arc` turns it into `GammaPath`s. `build_wd` flattens the
-same sectors straight into one arc list, making each star once and no
-`GammaPath` at all, so the arcs of W(D) are the union of every
-gamma-path's edges by construction. No sector is stored; a sector is its
-arc's gamma-paths without their star arcs. `wd_size` counts the vertices
-and arcs of W(D) from the size of each sector, without building any of it.
+digraph here. `build_wd` makes W(D) in one flat pass over the arcs of D:
+each arc adds its sector's entry arc and, per target, the rest of that
+target's path, straight into one arc list, with each vertex collected as
+it is made and no `GammaPath` at all, so the arcs of W(D) are the union of
+every gamma-path's edges by construction. The private `_sector` spells out
+one sector, as its entry arc plus the rest of each target's path, for the
+public `gamma_paths_for_arc` alone. The test that holds `build_wd` equal
+to the union of every arc's gamma-paths ties the two spellings together.
+No sector is stored; a sector is its arc's gamma-paths without their star
+arcs. `wd_size` counts the vertices and arcs of W(D) from the size of
+each sector, without building any of it.
 
 The vertices `Star`, `SectorX` and `SectorY` are typed named tuples: each
 equals only a vertex of its own type with the same fields, never another
@@ -32,7 +35,7 @@ unpack, index and order by their fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .graphs import Orientation
 
@@ -133,16 +136,16 @@ class GammaPath:
 
 
 def _sector(
-    D: Orientation, arc: tuple[int, int], star: Callable[[int], Star]
+    D: Orientation, arc: tuple[int, int]
 ) -> tuple[WArc, list[tuple[int, tuple[WArc, ...]]]]:
-    """The one place that spells out the shape of a sector.
+    """One sector spelled out, for `gamma_paths_for_arc`.
 
     Returns the entry arc v* -> v^{vw}, shared by every gamma-path of the
     sector, and, for each target x ascending, x with the rest of its path:
     the step to the copy of x (through y^{vw}_x for a detour target) and
     the exit to x*. The sector's own source v is never a target, though its
-    copy is the root. `star(x)` supplies the star of x, so a caller that
-    builds many sectors can make each star once.
+    copy is the root. `build_wd` writes the same shape for every arc in one
+    pass without calling this.
 
     The targets are N(v) symm-diff N(w) without v, read off the two
     neighbourhoods once: x in N(v) \\ N(w) is direct, x in N(w) \\ N[v] a
@@ -160,11 +163,11 @@ def _sector(
             continue
         copy = SectorX(arc, x)
         if x in nv:
-            rests.append((x, ((root, copy), (copy, star(x)))))
+            rests.append((x, ((root, copy), (copy, Star(x)))))
         else:
             y = SectorY(arc, x)
-            rests.append((x, ((root, y), (y, copy), (copy, star(x)))))
-    return (star(v), root), rests
+            rests.append((x, ((root, y), (y, copy), (copy, Star(x)))))
+    return (Star(v), root), rests
 
 
 def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
@@ -174,32 +177,48 @@ def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]
     its target x (through y^{vw}_x for a detour target) and exits to x*;
     `_sector` spells this out.
     """
-    entry, rests = _sector(D, arc, Star)
+    entry, rests = _sector(D, arc)
     return [GammaPath(arc, x, (entry, *rest)) for x, rest in rests]
 
 
 def build_wd(D: Orientation) -> WDigraph:
-    """Assemble the full derived digraph sector by sector.
+    """Assemble the full derived digraph in one flat pass over the arcs of D.
 
-    The arcs are the union of every gamma-path's edges: stars feed the root
-    of every sector they name, and every non-root vertex copy x^{vw} exits
-    to the star of x. Each sector comes from `_sector`, the one place that
-    spells one out, with every star made once for the whole digraph; its
-    entry arc is taken once and the rest of each path after it, so the arc
-    list holds no duplicates and no `GammaPath` is made. Every non-star
-    vertex is the tail of an arc, so the vertices are the stars plus the
-    arc tails. Sectors of distinct arcs share no vertices, so all structure
-    shared between arcs goes through stars.
+    The arcs are the union of every gamma-path's edges. Each arc (v, w) of
+    D adds the entry arc v* -> v^{vw}; then v^{vw} -> x^{vw} -> x* for each
+    direct target x in N(v) \\ N(w), and v^{vw} -> y^{vw}_x -> x^{vw} -> x*
+    for each detour target x in N(w) \\ N[v]. That is the sector `_sector`
+    spells out, written straight into one arc list with every star made
+    once, every other vertex collected as it is made and no `GammaPath`;
+    the test against the union of `gamma_paths_for_arc` holds the two
+    spellings equal. The arcs come from D, so none is checked. Sectors of
+    distinct arcs share no vertices, so the list holds no duplicates and all
+    structure shared between arcs goes through stars.
     """
-    stars = {x: Star(x) for x in D.vertices()}
+    # tuple.__new__ makes each vertex in C: the generated NamedTuple
+    # constructor is a Python call, and W(D) makes one or two per target
+    new = tuple.__new__
+    adj = D._adjacency()
+    stars = {x: new(Star, (x,)) for x in D.vertices()}
+    vertices: list[WVertex] = list(stars.values())
     arcs: list[WArc] = []
     for arc in D.arcs:
-        entry, rests = _sector(D, arc, stars.__getitem__)
-        arcs.append(entry)
-        for _, rest in rests:
-            arcs.extend(rest)
-    vertices = frozenset(stars.values()).union([tail for tail, _ in arcs])
-    return WDigraph(D, vertices, frozenset(arcs))
+        v, w = arc
+        nv, nw = adj[v], adj[w]
+        root = new(SectorX, (arc, v))
+        vertices.append(root)
+        arcs.append((stars[v], root))
+        for x in nv - nw:
+            copy = new(SectorX, (arc, x))
+            vertices.append(copy)
+            arcs += ((root, copy), (copy, stars[x]))
+        for x in nw - nv:
+            if x == v:  # v is in N(w) but is never a target
+                continue
+            y, copy = new(SectorY, (arc, x)), new(SectorX, (arc, x))
+            vertices += (y, copy)
+            arcs += ((root, y), (y, copy), (copy, stars[x]))
+    return WDigraph(D, frozenset(vertices), frozenset(arcs))
 
 
 def wd_size(D: Orientation) -> tuple[int, int]:

@@ -130,12 +130,15 @@ class TestCount:
         code, out, err = run(capsys, "count", d2_file)
         assert code == 2 and out == ""
         assert err.startswith("wd-lab: error:") and "state bound 1" in err
+        # the bound and its value, and no knob the CLI lacks
+        assert err == "wd-lab: error: a level reached 2 balance states, above the state bound 1\n"
 
     def test_classic_state_bound_exits_2(self, capsys, d2_file, monkeypatch):
         monkeypatch.setattr("wdlab.eulerian.DEFAULT_WD_STATE_BOUND", 1)
         code, out, err = run(capsys, "count", d2_file, "--classic")
         assert code == 2 and out == ""
         assert err.startswith("wd-lab: error:") and "state bound 1" in err
+        assert err == "wd-lab: error: a level reached 2 balance states, above the state bound 1\n"
 
     def test_graph_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "c4.g"
@@ -303,7 +306,8 @@ class TestColor:
         lists = '{"1":[1,2],"2":[1,2,3],"3":[1,2],"4":[1]}'
         code, out, err = run(capsys, "color", str(path), "--lists", lists)
         assert code == 2 and out == ""
-        assert err.startswith("wd-lab: error:") and "node bound 1 " in err
+        # the bound and its value, and no knob the CLI lacks
+        assert err == "wd-lab: error: the coloring search reached 2 nodes, above the node bound 1\n"
 
 
 class TestCheckHypothesis:
@@ -382,6 +386,10 @@ class TestSweep:
         monkeypatch.setenv("WD_LAB_BOUND", "3")
         code, _, err = run(capsys, "sweep", c4_file)
         assert code == 2 and "WD_LAB_BOUND" in err
+        # the CLI names its own knob, not the library's bound argument
+        assert err == (
+            "wd-lab: error: graph has 4 edges, above the orientation bound 3 (raise WD_LAB_BOUND)\n"
+        )
         monkeypatch.setenv("WD_LAB_BOUND", "30")
         code, out, _ = run(capsys, "sweep", c4_file, "--json")
         assert code == 0

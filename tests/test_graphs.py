@@ -109,10 +109,30 @@ class TestParse:
     def test_edgeless_parses_as_graph(self):
         assert parse("5\n") == Graph.of(5, [])
 
-    def test_round_trip(self, d1):
+    def test_round_trip(self, d1, d2, d3):
         g = Graph.of(4, [(2, 1), (3, 4)])
         assert parse(to_text(g)) == g
         assert parse(to_text(d1)) == d1
+        # parse and the frontier relabelling skip the constructor's checks;
+        # what they build must equal, hash and tabulate like a checked one
+        rng = random.Random(22)
+        corpus = [d1, d2, d3, gen_sun(3)]
+        corpus += [random_orientation(rng, 2, 9) for _ in range(60)]
+        corpus = [D for D in corpus if D.arcs]  # no arcs parses as a Graph
+        relabelled = [D.frontier_relabelled() for D in corpus]
+        assert any(R is not D for R, D in zip(relabelled, corpus))
+        # a parsed D against D; D' against a checked build of its own arcs
+        pairs = [(parse(to_text(D)), D) for D in corpus] + [(R, R) for R in relabelled]
+        for B, D in pairs:
+            checked = Orientation(D.n, D.arcs)
+            assert B == checked and hash(B) == hash(checked)
+            assert list(B._adjacency().items()) == list(checked._adjacency().items())
+            assert B._out_degree_map == checked._out_degree_map
+            assert B.out_degrees() == checked.out_degrees()
+        for G in [g, Graph(6, frozenset()), *(random_graph(rng, 7) for _ in range(20))]:
+            parsed = parse(to_text(G))
+            assert parsed == G and hash(parsed) == hash(G)
+            assert list(parsed._adj.items()) == list(G._adj.items())
 
 
 class TestTypes:
@@ -433,8 +453,19 @@ class TestEnumerateOrientations:
 
     def test_bound(self):
         G = gen_complete(7)  # 21 edges
-        with pytest.raises(BoundExceededError):
+        with pytest.raises(BoundExceededError) as info:
             next(enumerate_orientations(G))
+        # the library message names both knobs; the CLI reads the parts
+        exc = info.value
+        assert str(exc) == (
+            "graph has 21 edges, above the orientation bound 20"
+            " (raise WD_LAB_BOUND or the bound argument)"
+        )
+        assert (exc.reason, exc.env) == (
+            "graph has 21 edges, above the orientation bound 20", "WD_LAB_BOUND"
+        )
+        back = pickle.loads(pickle.dumps(exc))
+        assert (str(back), back.reason, back.env) == (str(exc), exc.reason, exc.env)
         assert sum(1 for _ in enumerate_orientations(gen_complete(3), bound=3)) == 8
         with pytest.raises(BoundExceededError):
             next(enumerate_orientations(gen_complete(3), bound=2))

@@ -24,6 +24,8 @@ from wdlab import (
     build_wd,
     gamma_paths_for_arc,
     gen_sun,
+    parse,
+    to_text,
 )
 from wdlab.wd import wd_size
 
@@ -284,7 +286,13 @@ class TestBuildWd:
         corpus = oracle_corpus(d1, d2, d3)
         # some G(n, p) orientations have arcs and an isolated vertex
         assert any(D.arcs and any(not D.neighbors(v) for v in D.vertices()) for D in corpus)
-        for D in corpus:
+        # parse and the frontier relabelling build their orientations
+        # without the constructor's checks; W(D) of those must match too
+        relabelled = [D.frontier_relabelled() for D in corpus]
+        assert sum(R is not D for R, D in zip(relabelled, corpus)) > 100
+        # (a file with no arcs parses as an edgeless Graph)
+        parsed = [parse(to_text(D)) for D in corpus if D.arcs]
+        for D in corpus + parsed + relabelled:
             wd, oracle = build_wd(D), build_wd_from_paths(D)
             assert wd.source == D
             assert wd.vertices == oracle.vertices
