@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 when a computation's answer is "none" (no
 coloring, no witness, hypothesis false), 2 on bad input, an exceeded
 enumeration bound, or a run that exhausts recursion depth or memory.
 All output is deterministic for a fixed input; big integers appear in
-JSON as decimal strings. The environment variable WD_LAB_BOUND, a
-non-negative integer in ASCII digits, overrides the default edge bound of
-orientation sweeps (20 edges); no other command reads it. Both `count`
-modes run one frontier counter and stop at its state bound. A command
-stopped by a bound names the bound and its value, and WD_LAB_BOUND when
-that raises it; no command has a bound argument to raise.
+JSON as decimal strings. Every command that reads a file accepts `--json`
+for machine-readable output; `color` prints JSON either way. The
+environment variable WD_LAB_BOUND, a non-negative integer in ASCII
+digits, overrides the default edge bound of orientation sweeps (20
+edges); no other command reads it. Both `count` modes run one frontier
+counter and stop at its state bound. A command stopped by a bound names
+the bound and its value, and WD_LAB_BOUND when that raises it; no
+command has a bound argument to raise.
 """
 
 from __future__ import annotations
@@ -152,10 +154,7 @@ def _cmd_color(args) -> int:
             raise ParseError(f"list for vertex {key} must be a JSON array")
         keys[v] = key
         lists[v] = values
-    try:
-        ell = find_additive_coloring(G, lists)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    ell = find_additive_coloring(G, lists)
     if ell is None:
         print(_dump({"result": "none"}))
         return 1
@@ -213,26 +212,20 @@ def _cmd_sweep(args) -> int:
     return 0 if report.has_witness else 1
 
 
+#: Each `gen` family: its generator and the number of parameters it takes.
+_FAMILIES = {
+    "sun": (gen_sun, 1),
+    "cycle": (gen_cycle, 1),
+    "complete": (gen_complete, 1),
+    "complete-bipartite": (gen_complete_bipartite, 2),
+}
+
+
 def _cmd_gen(args) -> int:
-    family = args.family
-    params = args.params
-    counts = {"sun": 1, "cycle": 1, "complete": 1, "complete-bipartite": 2}
-    if len(params) != counts[family]:
-        raise ParseError(
-            f"{family} takes {counts[family]} parameter(s), got {len(params)}"
-        )
-    try:
-        if family == "sun":
-            obj = gen_sun(params[0])
-        elif family == "cycle":
-            obj = gen_cycle(params[0])
-        elif family == "complete":
-            obj = gen_complete(params[0])
-        else:
-            obj = gen_complete_bipartite(params[0], params[1])
-    except ValueError as exc:
-        raise ParseError(str(exc))
-    sys.stdout.write(to_text(obj))
+    make, count = _FAMILIES[args.family]
+    if len(args.params) != count:
+        raise ParseError(f"{args.family} takes {count} parameter(s), got {len(args.params)}")
+    sys.stdout.write(to_text(make(*args.params)))
     return 0
 
 
@@ -242,48 +235,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sector digraphs, Eulerian parity counts, and additive list coloring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command that reads a file takes it and --json from here
+    reads_file = argparse.ArgumentParser(add_help=False)
+    reads_file.add_argument("file")
+    reads_file.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("build-wd", help="construct the sector digraph of an orientation")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser(
+        "build-wd", parents=[reads_file], help="construct the sector digraph of an orientation"
+    )
     p.set_defaults(fn=_cmd_build_wd)
 
-    p = sub.add_parser("count", help="even/odd spanning Eulerian subdigraph counts")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "count", parents=[reads_file], help="even/odd spanning Eulerian subdigraph counts"
+    )
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--wd", action="store_true", help="count for the sector digraph (default)")
     mode.add_argument("--classic", action="store_true", help="count for the orientation itself")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_count)
 
-    p = sub.add_parser("coefficient", help="certificate coefficient of a polynomial")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "coefficient", parents=[reads_file], help="certificate coefficient of a polynomial"
+    )
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--additive", action="store_true", help="additive polynomial (default)")
     mode.add_argument("--classic", action="store_true", help="classical polynomial")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_coefficient)
 
-    p = sub.add_parser("color", help="find an additive coloring from per-vertex lists")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "color", parents=[reads_file], help="find an additive coloring from per-vertex lists"
+    )
     p.add_argument("--lists", required=True, help='JSON like {"1":[1,2],"2":[3]}')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_color)
 
-    p = sub.add_parser("check-hypothesis", help="structural coloring hypotheses")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "check-hypothesis", parents=[reads_file], help="structural coloring hypotheses"
+    )
     p.add_argument("--tripartite", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_check_hypothesis)
 
-    p = sub.add_parser("sweep", help="additive coefficient of every orientation")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "sweep", parents=[reads_file], help="additive coefficient of every orientation"
+    )
     p.add_argument("--limit", type=strict_int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a generated graph or orientation file")
-    p.add_argument("family", choices=["sun", "cycle", "complete", "complete-bipartite"])
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", type=strict_int, nargs="+")
     p.set_defaults(fn=_cmd_gen)
 

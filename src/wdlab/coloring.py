@@ -216,7 +216,7 @@ def find_additive_coloring(
 
 
 def _require_orients(G: Graph, D: Orientation) -> None:
-    if D.n != G.n or D.underlying() != G:
+    if D.underlying() != G:
         raise ValueError("orientation does not orient the given graph")
 
 

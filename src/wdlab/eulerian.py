@@ -303,7 +303,6 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
     # rem_in) times one[z], where rem_out and rem_in count those entries
     field: dict[int, int] = {}
     one: dict[int, int] = {}
-    guard: dict[int, int] = {}
     low: dict[int, int] = {}
     high: dict[int, int] = {}
     zero = width = 0
@@ -313,7 +312,6 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
         bits = span.bit_length()
         one[z] = 1 << width
         field[z] = ((1 << bits) - 1) << width
-        guard[z] = 1 << (width + bits)
         low[z] = 0
         high[z] = span << width
         zero |= out_z << width
@@ -333,11 +331,11 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
         forced = {}
         guards = probe = 0
         for x in flip + keep:
-            x_one = one[x]
+            x_one, x_field = one[x], field[x]
             x_high = high[x] = high[x] - x_one
-            choice = (field[x], low[x], v_one - x_one, x in flip)
+            choice = (x_field, low[x], v_one - x_one, x in flip)
             choices.append(choice)
-            x_guard = guard[x]
+            x_guard = x_field + x_one  # the bit just above x's field
             forced[x_guard] = choice
             guards |= x_guard
             # key + probe sets x's guard bit exactly when x is above its new upper end

@@ -13,17 +13,17 @@ target is a neighbor of w but not of v or v itself (detour). The spanning
 Eulerian subdigraphs of W(D) are exactly the unions of edge-disjoint
 gamma-paths whose star in/out traffic balances, which is what makes the
 structured counters in `eulerian` possible. The same fact defines the
-digraph here. `build_wd` makes W(D) in one flat pass over the arcs of D:
-each arc adds its sector's entry arc and, per target, the rest of that
-target's path, straight into one arc list, with each vertex collected as
-it is made and no `GammaPath` at all, so the arcs of W(D) are the union of
-every gamma-path's edges by construction. The private `_sector` spells out
-one sector, as its entry arc plus the rest of each target's path, for the
-public `gamma_paths_for_arc` alone. The test that holds `build_wd` equal
-to the union of every arc's gamma-paths ties the two spellings together.
-No sector is stored; a sector is its arc's gamma-paths without their star
-arcs. `wd_size` counts the vertices and arcs of W(D) from the size of
-each sector, without building any of it.
+digraph here. `gamma_paths_for_arc` spells out one sector, as one
+`GammaPath` per target. `build_wd` writes the same shape for every arc in
+one flat pass over the arcs of D: each arc adds its sector's entry arc
+and, per target, the rest of that target's path, straight into one arc
+list, with each vertex collected as it is made and no `GammaPath` at all,
+so the arcs of W(D) are the union of every gamma-path's edges by
+construction. The test that holds `build_wd` equal to the union of every
+arc's gamma-paths ties the two spellings together. No sector is stored;
+a sector is its arc's gamma-paths without their star arcs. `wd_size`
+counts the vertices and arcs of W(D) from the size of each sector,
+without building any of it.
 
 The vertices `Star`, `SectorX` and `SectorY` are typed named tuples: each
 equals only a vertex of its own type with the same fields, never another
@@ -135,19 +135,13 @@ class GammaPath:
         return len(self.edges) % 2 == 1
 
 
-def _sector(
-    D: Orientation, arc: tuple[int, int]
-) -> tuple[WArc, list[tuple[int, tuple[WArc, ...]]]]:
-    """One sector spelled out, for `gamma_paths_for_arc`.
+def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
+    """All gamma-paths of one sector, targets ascending.
 
-    Returns the entry arc v* -> v^{vw}, shared by every gamma-path of the
-    sector, and, for each target x ascending, x with the rest of its path:
-    the step to the copy of x (through y^{vw}_x for a detour target) and
-    the exit to x*. The sector's own source v is never a target, though its
-    copy is the root. `build_wd` writes the same shape for every arc in one
-    pass without calling this.
-
-    The targets are N(v) symm-diff N(w) without v, read off the two
+    Every path enters at the root copy v^{vw} from v*, steps to the copy of
+    its target x (through y^{vw}_x for a detour target) and exits to x*.
+    The sector's own source v is never a target, though its copy is the
+    root. The targets are N(v) symm-diff N(w) without v, read off the two
     neighbourhoods once: x in N(v) \\ N(w) is direct, x in N(w) \\ N[v] a
     detour. Raises ValueError when `arc` is not an arc of D.
     """
@@ -157,28 +151,19 @@ def _sector(
     adj = D._adjacency()
     nv, nw = adj[v], adj[w]
     root = SectorX(arc, v)
-    rests = []
+    entry = (Star(v), root)
+    paths = []
     for x in sorted(nv ^ nw):
         if x == v:
             continue
         copy = SectorX(arc, x)
         if x in nv:
-            rests.append((x, ((root, copy), (copy, Star(x)))))
+            edges = (entry, (root, copy), (copy, Star(x)))
         else:
             y = SectorY(arc, x)
-            rests.append((x, ((root, y), (y, copy), (copy, Star(x)))))
-    return (Star(v), root), rests
-
-
-def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
-    """All gamma-paths of one sector, targets ascending.
-
-    Every path enters at the root copy of v from v*, steps to the copy of
-    its target x (through y^{vw}_x for a detour target) and exits to x*;
-    `_sector` spells this out.
-    """
-    entry, rests = _sector(D, arc)
-    return [GammaPath(arc, x, (entry, *rest)) for x, rest in rests]
+            edges = (entry, (root, y), (y, copy), (copy, Star(x)))
+        paths.append(GammaPath(arc, x, edges))
+    return paths
 
 
 def build_wd(D: Orientation) -> WDigraph:
@@ -187,13 +172,13 @@ def build_wd(D: Orientation) -> WDigraph:
     The arcs are the union of every gamma-path's edges. Each arc (v, w) of
     D adds the entry arc v* -> v^{vw}; then v^{vw} -> x^{vw} -> x* for each
     direct target x in N(v) \\ N(w), and v^{vw} -> y^{vw}_x -> x^{vw} -> x*
-    for each detour target x in N(w) \\ N[v]. That is the sector `_sector`
-    spells out, written straight into one arc list with every star made
-    once, every other vertex collected as it is made and no `GammaPath`;
-    the test against the union of `gamma_paths_for_arc` holds the two
-    spellings equal. The arcs come from D, so none is checked. Sectors of
-    distinct arcs share no vertices, so the list holds no duplicates and all
-    structure shared between arcs goes through stars.
+    for each detour target x in N(w) \\ N[v]. That is the sector
+    `gamma_paths_for_arc` spells out, written straight into one arc list
+    with every star made once, every other vertex collected as it is made
+    and no `GammaPath`; the test against the union of `gamma_paths_for_arc`
+    holds the two spellings equal. The arcs come from D, so none is
+    checked. Sectors of distinct arcs share no vertices, so the list holds
+    no duplicates and all structure shared between arcs goes through stars.
     """
     # tuple.__new__ makes each vertex in C: the generated NamedTuple
     # constructor is a Python call, and W(D) makes one or two per target

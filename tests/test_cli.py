@@ -236,21 +236,26 @@ class TestBuildWd:
 
 
 class TestColor:
+    # color prints JSON either way, so --json changes nothing
     def test_absent(self, capsys, tmp_path):
         path = tmp_path / "k2.g"
         path.write_text("2\n1 -- 2\n")
-        code, out, _ = run(capsys, "color", str(path), "--lists", '{"1":[1],"2":[1]}')
-        assert code == 1
-        assert out == '{"result":"none"}\n'
+        for json_flag in ((), ("--json",)):
+            code, out, _ = run(
+                capsys, "color", str(path), "--lists", '{"1":[1],"2":[1]}', *json_flag
+            )
+            assert code == 1
+            assert out == '{"result":"none"}\n'
 
     def test_found(self, capsys, tmp_path):
         path = tmp_path / "p3.g"
         path.write_text("3\n1 -- 2\n2 -- 3\n")
-        code, out, _ = run(
-            capsys, "color", str(path), "--lists", '{"1":[1,2],"2":[1,2],"3":[5]}'
-        )
-        assert code == 0
-        assert out == '{"1":1,"2":1,"3":5}\n'
+        for json_flag in ((), ("--json",)):
+            code, out, _ = run(
+                capsys, "color", str(path), "--lists", '{"1":[1,2],"2":[1,2],"3":[5]}', *json_flag
+            )
+            assert code == 0
+            assert out == '{"1":1,"2":1,"3":5}\n'
 
     def test_bad_lists(self, capsys, tmp_path):
         path = tmp_path / "k2.g"
@@ -432,9 +437,21 @@ class TestGen:
         assert to_text(obj) == out
 
     def test_bad_parameters(self, capsys):
-        assert run(capsys, "gen", "sun", "1")[0] == 2
-        assert run(capsys, "gen", "cycle", "2")[0] == 2
-        assert run(capsys, "gen", "complete-bipartite", "2")[0] == 2
+        for argv, message in (
+            (("sun", "1"), "sun parameter must be at least 2, got 1"),
+            (("cycle", "2"), "cycle length must be at least 3, got 2"),
+            (("cycle", "4", "5"), "cycle takes 1 parameter(s), got 2"),
+            (("complete-bipartite", "2"), "complete-bipartite takes 2 parameter(s), got 1"),
+        ):
+            assert run(capsys, "gen", *argv) == (2, "", f"wd-lab: error: {message}\n")
+
+    def test_help_lists_every_family(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        for family in ("sun", "cycle", "complete", "complete-bipartite"):
+            assert family in out
 
     @pytest.mark.parametrize("param", ["\u0665", "0_5", "+5"])
     def test_parameters_are_ascii_integers(self, capsys, param):
@@ -447,6 +464,16 @@ class TestGen:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "command", ["build-wd", "count", "coefficient", "color", "check-hypothesis", "sweep"]
+    )
+    def test_file_commands_take_json(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert "--json" in out and "file" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "/nonexistent/file.dg")
         assert code == 2 and "cannot read" in err
