@@ -20,7 +20,8 @@ budget counts nodes visited, one per value assigned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BoundExceededError
 from .graphs import (
@@ -94,6 +95,11 @@ def _frontiers(
     return frontier
 
 
+def _empty_key(sums: list[int]) -> tuple[()]:
+    """The memo key of a step whose frontier is empty."""
+    return ()
+
+
 def _additive_colorings(
     G: Graph,
     lists: Mapping[int, Sequence[int]],
@@ -113,8 +119,11 @@ def _additive_colorings(
     frontier state whose subtree held no coloring is remembered, and a
     value that leads back to it is pruned. Without this, a cycle, whose
     closing edges are checked only at the last step, could be searched in
-    exponential time after one bad early label. The memo holds at most
-    `_DEAD_SUMS_MAX` sums.
+    exponential time after one bad early label. A state's key is the
+    tuple of the frontier's partial sums, read by one `itemgetter` per
+    step: the sum itself for a one-vertex frontier, and `()` for an empty
+    one. Each step has its own set, so keys of different shapes never
+    meet. The memo holds at most `_DEAD_SUMS_MAX` sums.
 
     Every branch cut off holds no coloring, so the colorings come out in
     the order of the product of the lists. The loop is explicit, so a long
@@ -134,7 +143,11 @@ def _additive_colorings(
     for u, v in G.edges:
         checks[max(adjacency[u] + adjacency[v])].append((u, v))
     frontier: list[list[int]] = []  # built at the first dead end
-    dead: list[Optional[set[tuple[int, ...]]]] = [None] * (last + 1)
+    key: list[Callable[[list[int]], object]] = []  # built with `frontier`
+    # dead[k] holds the keys of the dead states after step k: the frontier's
+    # partial sums as a tuple, the sum itself for a one-vertex frontier and
+    # () for an empty one
+    dead: list[Optional[set[Union[int, tuple[int, ...]]]]] = [None] * (last + 1)
     room = _DEAD_SUMS_MAX
     found = 0  # colorings yielded so far
     marks = [0] * (last + 1)  # `found` when each vertex took its current value
@@ -150,11 +163,12 @@ def _additive_colorings(
                 # the subtree below this value is used up and held no coloring
                 if not frontier:
                     frontier = _frontiers(adjacency, checks)
+                    key = [itemgetter(*f) if f else _empty_key for f in frontier]
                 if room >= len(frontier[k]):
                     room -= len(frontier[k])
                     if dead[k] is None:
                         dead[k] = set()
-                    dead[k].add(tuple([sums[y] for y in frontier[k]]))
+                    dead[k].add(key[k](sums))
             # take back the value tried last at this vertex
             a = values[i]
             for y in around:
@@ -176,7 +190,7 @@ def _additive_colorings(
                 if k == last:
                     break
                 seen = dead[k]
-                if seen is None or tuple([sums[y] for y in frontier[k]]) not in seen:
+                if seen is None or key[k](sums) not in seen:
                     marks[k] = found
                     break
             for y in around:

@@ -41,6 +41,24 @@ from wdlab import (
 from wdlab.coloring import _additive_colorings, _simplicial_sinks
 
 
+def product_colorings(G, lists):
+    """Every additive coloring from the lists, in the order of their product."""
+    labelings = (
+        dict(zip(G.vertices(), combo))
+        for combo in itertools.product(*(lists[v] for v in G.vertices()))
+    )
+    return [ell for ell in labelings if is_additive_coloring(G, ell)]
+
+
+def disjoint_union(*parts):
+    """The graphs side by side, the vertices of each part after the last."""
+    n, edges = 0, []
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph.of(n, edges)
+
+
 class TestIsAdditiveColoring:
     def test_k3_distinct_sums(self):
         G = gen_complete(3)
@@ -88,11 +106,7 @@ class TestFindAdditiveColoring:
             G = random_graph(rng, n, p=0.6)
             lists = {v: sorted(rng.sample(range(1, 6), rng.randint(1, 2))) for v in G.vertices()}
             ell = find_additive_coloring(G, lists)
-            valid = [
-                dict(zip(G.vertices(), combo))
-                for combo in itertools.product(*(lists[v] for v in G.vertices()))
-                if is_additive_coloring(G, dict(zip(G.vertices(), combo)))
-            ]
+            valid = product_colorings(G, lists)
             if valid:
                 assert ell == valid[0]
             else:
@@ -120,14 +134,18 @@ class TestFindAdditiveColoring:
             find_additive_coloring(G, lists, bound=737)
         assert find_additive_coloring(G, lists, bound=738) is None
 
-    def test_dead_state_memo(self, monkeypatch):
-        # without the memo the same proof visits 3,602 nodes
-        monkeypatch.setattr("wdlab.coloring._DEAD_SUMS_MAX", 0)
+    @pytest.mark.parametrize("cap, nodes", [(0, 3602), (20, 3566), (100, 3380)])
+    def test_memo_cap_counts_partial_sums(self, monkeypatch, cap, nodes):
+        # without the memo the proof above visits 3,602 nodes; a cap counts
+        # stored partial sums, not states, so a small one prunes little
+        monkeypatch.setattr("wdlab.coloring._DEAD_SUMS_MAX", cap)
         G = gen_cycle(17)
         lists = {v: [1, 2] for v in G.vertices()}
-        with pytest.raises(BoundExceededError, match="node bound 3601 "):
-            find_additive_coloring(G, lists, bound=3601)
-        assert find_additive_coloring(G, lists, bound=3602) is None
+        with pytest.raises(BoundExceededError, match=f"node bound {nodes - 1} "):
+            find_additive_coloring(G, lists, bound=nodes - 1)
+        assert find_additive_coloring(G, lists, bound=nodes) is None
+
+    def test_dead_state_memo(self, monkeypatch):
         # a memo that fills up part way still prunes only dead branches
         rng = random.Random(97)
         for cap in (0, 5, 40):
@@ -135,12 +153,31 @@ class TestFindAdditiveColoring:
             for _ in range(20):
                 G = random_graph(rng, rng.randint(5, 9), p=0.4)
                 lists = {v: sorted(rng.sample(range(1, 5), rng.randint(1, 2))) for v in G.vertices()}
-                want = [
-                    dict(zip(G.vertices(), combo))
-                    for combo in itertools.product(*(lists[v] for v in G.vertices()))
-                    if is_additive_coloring(G, dict(zip(G.vertices(), combo)))
-                ]
-                assert list(_additive_colorings(G, lists)) == want
+                assert list(_additive_colorings(G, lists)) == product_colorings(G, lists)
+
+    def test_memo_key_at_every_frontier_size(self):
+        # P3 then C5 on 4..8: the frontiers after steps 1..7 have 1, 3, 0,
+        # 2, 4, 5 and 5 vertices, and the proof that {1, 2} has no coloring
+        # records dead states at each of those sizes
+        C5 = gen_cycle(5)
+        G = disjoint_union(path_graph(3), C5)
+        lists = {v: [1, 2] for v in G.vertices()}
+        with pytest.raises(BoundExceededError, match="reached 64 nodes, above the node bound 63 "):
+            find_additive_coloring(G, lists, bound=63)
+        assert find_additive_coloring(G, lists, bound=64) is None
+        # an isolated vertex between K2 and C5
+        G = disjoint_union(gen_complete(2), Graph.of(1, []), C5)
+        with pytest.raises(BoundExceededError, match="reached 58 nodes, above the node bound 57 "):
+            find_additive_coloring(G, lists, bound=57)
+        assert find_additive_coloring(G, lists, bound=58) is None
+
+    def test_disjoint_unions_match_the_product_scan(self):
+        rng = random.Random(101)
+        pieces = [gen_complete(2), Graph.of(1, []), path_graph(3), gen_cycle(3), gen_cycle(5)]
+        for _ in range(15):
+            G = disjoint_union(*rng.choices(pieces, k=rng.randint(2, 4)))
+            lists = {v: sorted(rng.sample(range(1, 5), rng.randint(1, 2))) for v in G.vertices()}
+            assert list(_additive_colorings(G, lists)) == product_colorings(G, lists)
 
     def test_cycle_with_a_bad_early_label(self, monkeypatch):
         # s(1) = 7 + 13 = s(2) when labels 1 and 3 are 4 and 16; the closing

@@ -1,15 +1,19 @@
 """The package's shape: its exported names, the imports that keep the
-two certificate routes independent, and the names the benchmark's tracer
-binds to."""
+two certificate routes independent, the names the benchmark's tracer
+binds to, and the layout of the committed benchmark results."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import wdlab
 from wdlab import coloring, eulerian, graphs, polynomials, wd
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = {
     "BoundExceededError",
@@ -91,7 +95,7 @@ def test_benchmark_tracer_hooks_bind_to_the_package():
     # the benchmark's tracer wraps its targets by module and name and reads
     # `support()` off expand_capped's first argument and `terms` off its
     # result; one call to each target must land in its counters
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -120,3 +124,26 @@ def test_benchmark_tracer_hooks_bind_to_the_package():
     assert counts["polynomials.final_terms"] > 0
     # uninstalled, the package's own functions are back in place
     assert polynomials.expand_capped is original is wdlab.expand_capped
+
+
+def test_committed_bench_files_share_one_layout():
+    # every BENCH_*.json holds one correct, failure-free result per workload
+    # with exactly the end-to-end metrics the benchmark declares, and every
+    # change's file has its parent's beside it
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    assert workloads == {"thin", "dense", "sweep", "lists"}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        results = json.loads(path.read_text())
+        assert set(results) == workloads, path.name
+        for name, result in results.items():
+            assert result["correct"] is True, (path.name, name)
+            assert result["failed"] == 0, (path.name, name)
+            assert set(result["metrics"]) == metrics, (path.name, name)
+        tag = re.fullmatch(r"BENCH_(pr\d+)(_parent)?\.json", path.name)
+        assert tag, path.name
+        if not tag[2]:
+            assert (ROOT / f"BENCH_{tag[1]}_parent.json").exists(), path.name
