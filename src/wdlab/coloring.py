@@ -33,7 +33,7 @@ from .graphs import (
     orientation_from_index,
     two_color,
 )
-from .polynomials import additive_factors, expand_capped
+from .polynomials import Field, _additive_splits, _expand
 
 #: Most nodes (values assigned) the coloring search will visit.
 DEFAULT_COLORING_BOUND = 10_000_000
@@ -308,6 +308,20 @@ class SweepReport:
         return self.witness_index is not None
 
 
+def _expand_pg(G: Graph, edges: list[tuple[int, int]]) -> tuple[dict[int, int], Field]:
+    """P_G, the additive polynomial of orientation 0, capped at the degree
+    vector: its packed terms, zero entries included, and their field
+    layout (`polynomials._expand`).
+
+    `edges` is `G.sorted_edges()`, which orientation 0 directs as they
+    are, so its splits are read straight off G's neighbourhood map; the
+    caps are the degrees of the touched vertices, and an isolated vertex
+    has cap 0 and no field.
+    """
+    adj = G._adj
+    return _expand(_additive_splits(adj, edges), [(u, len(around)) for u, around in adj.items()])
+
+
 def conjecture_sweep(
     G: Graph,
     bound: Optional[int] = None,
@@ -319,35 +333,42 @@ def conjecture_sweep(
     so orientation `index` has the polynomial P_G of orientation 0 times
     (-1)^popcount(index). The sweep expands P_G once, capped at the degree
     vector, and reads each orientation's coefficient off its out-degree
-    monomial. It walks the indices as a binary counter, so each step
-    reverses fewer than 2 arcs on average and costs one lookup of the
-    packed out-degree key: one expansion plus O(1) per orientation. Its
-    memory is P_G's capped term map (116,184 terms on the Petersen graph,
-    a peak RSS of about 48 MB for the whole process).
+    monomial. It reads P_G's factors straight off G's neighbourhood map
+    (`_expand_pg`), with no orientation, factor objects or per-vertex
+    table, so an isolated vertex costs it nothing. It walks the indices
+    as a binary counter, so each step reverses fewer than 2 arcs on
+    average and costs one lookup of the packed out-degree key: one
+    expansion plus O(1) per orientation. Its memory is P_G's capped term
+    map (116,184 terms on the Petersen graph, a peak RSS of about 48 MB
+    for the whole process). Only the witness is built as an `Orientation`.
 
     `limit` truncates the scan to the first orientations by index; it
-    must not be negative. It does not skip the expansion. The edge bound
-    is checked first, whatever the limit.
+    must be a non-negative integer, and a bool is not one. It does not
+    skip the expansion. The edge bound is checked first, whatever the
+    limit.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise ValueError(f"limit must be an integer, got {limit!r}")
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
     total = orientation_count(G, bound)
     examined = total if limit is None else min(limit, total)
-    degrees = tuple(G.degree(v) for v in G.vertices())
-    poly = expand_capped(additive_factors(orientation_from_index(G, 0)), degrees)
-    get, unit = poly.packed.get, poly.unit
     edges = G.sorted_edges()
+    terms, field = _expand_pg(G, edges)
+    get = terms.get
     # Bit i of the index reverses edge i = (u, v), which moves one out-arc
     # from u to v. Going from index - 1 to index sets bit t, the lowest set
     # bit of index, and clears bits 0..t-1: that adds jump[t] to the packed
-    # out-degree key and flips the sign t + 1 times.
+    # out-degree key and flips the sign t + 1 times. Both ends of an edge
+    # are touched, so each has a field, whose third entry is the key of x_u.
     jump, cleared = [], 0
     for u, v in edges:
-        flip = unit[v - 1] - unit[u - 1]
+        flip = field[v][2] - field[u][2]
         jump.append(flip - cleared)
         cleared += flip
     # orientation 0 directs every edge (u, v), u < v, out of u
-    key = sum(unit[u - 1] for u, _ in edges)
+    key = sum(field[u][2] for u, _ in edges)
     sign = 1
     histogram: dict[int, int] = {}
     witness_index: Optional[int] = None

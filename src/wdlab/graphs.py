@@ -95,8 +95,8 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         # package code reads touched vertices, where this costs one subscript
-        # and no call; a miss raises, which is slow, so `degree`, which the
-        # sweep reads for every vertex, calls `get` instead
+        # and no call; a miss raises, which is slow, so `degree`, which a
+        # caller may read for every vertex, calls `get` instead
         try:
             return self._adj[v]
         except KeyError:

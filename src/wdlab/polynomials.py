@@ -14,21 +14,25 @@ Python integers throughout.
 
 Each factor is spelled once, as its (positive, negative) variables: a
 *split*. `_classical_splits` and `_additive_splits` read them off D, and
-`expand_capped` takes them from its `LinearFactor`s. One builder
-(`_packed`) turns every split into a packed step and a frontier key.
+`expand_capped` takes them from its `LinearFactor`s; the orientation
+sweep (`coloring.conjecture_sweep`) reads those of P_G with
+`_additive_splits` straight off the graph's neighbourhood map. One
+builder (`_packed`) turns every split into a packed step and a frontier
+key.
 
-`expand_capped` keeps every term under the cap, which a sweep needs: it
-reads one coefficient per orientation off the same product.
-`_coefficient`, behind `additive_coefficient` and `classical_coefficient`,
-wants only the cap monomial, so it also eliminates each variable at its
-frontier (frontier-based search; Kawahara et al., IEICE 2017). Both
-engines take the factors ordered by their keys, the largest variable they
-touch, then their support. Once x_u has had its last factor, every term
-whose u-exponent is below cap[u] can never reach the cap, and
-`_coefficient` drops it. The live terms then differ only in the variables
-whose factors are still in progress, so the term map grows with the width
-of that frontier, not with the size of the graph: on a directed path of
-1200 vertices it never holds more than 3 terms.
+`_expand`, behind `expand_capped` and the sweep, keeps every term under
+the cap: the sweep reads one coefficient per orientation off the same
+product. `_coefficient`, behind `additive_coefficient` and
+`classical_coefficient`, wants only the cap monomial, so it also
+eliminates each variable at its frontier (frontier-based search;
+Kawahara et al., IEICE 2017). Both engines take the factors ordered by
+their keys, the largest variable they touch, then their support. Once
+x_u has had its last factor, every term whose u-exponent is below cap[u]
+can never reach the cap, and `_coefficient` drops it. The live terms
+then differ only in the variables whose factors are still in progress,
+so the term map grows with the width of that frontier, not with the size
+of the graph: on a directed path of 1200 vertices it never holds more
+than 3 terms.
 
 Both engines key each term by one packed integer, not by an exponent
 vector, with one layout (`_bit_fields`). Variable u with cap[u] > 0 owns
@@ -45,16 +49,17 @@ A packed *step* holds one (sign, mask, cap, unit) entry per variable that
 can fire, and both engines multiply by the steps in one loop
 (`_product`). With each step comes a mask of the variables that retire
 there; a product is kept only when it already holds the cap in those
-fields. `expand_capped` passes mask 0, so it keeps every product. A
+fields. `_expand` passes mask 0, so it keeps every product. A
 coefficient that cancels to 0 is skipped when the next step reads it
 rather than dropped by copying the map after every step; `expand_capped`
-drops the zeros once, at the end.
+drops the zeros once, at the end, and the sweep reads a zero entry as it
+reads a missing one.
 
 The frontier follows the vertex labels, so the labels, not the graph,
 would set its width. `additive_coefficient` and `classical_coefficient`
 therefore run `_coefficient` on the splits of D relabelled in
 maximum-cardinality search order (`Orientation.frontier_relabelled`);
-`expand_capped` takes its factors as labelled.
+`_expand` takes its splits as labelled.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Orientation
 
@@ -148,19 +153,18 @@ def _classical_splits(D: Orientation) -> list[Split]:
     return [((v,), (w,)) for v, w in D.sorted_arcs()]
 
 
-def _additive_splits(D: Orientation) -> list[Split]:
+def _additive_splits(
+    adj: Mapping[int, frozenset[int]], arcs: Iterable[tuple[int, int]]
+) -> list[Split]:
     """Each arc's additive factor as its (positive, negative) variables, in
-    sorted arc order: N(w) \\ N(v) and N(v) \\ N(w) for the arc (v, w).
+    the order given: N(w) \\ N(v) and N(v) \\ N(w) for the arc (v, w).
 
-    v always lands in the positive part and w in the negative one, so
-    neither is ever empty.
+    `adj` is the underlying graph's neighbourhood map: D's
+    `_adjacency()`, or for the orientation sweep G's own map with G's
+    sorted edges as the arcs of orientation 0. v always lands in the
+    positive part and w in the negative one, so neither is ever empty.
     """
-    adj = D._adjacency()
-    splits = []
-    for v, w in D.sorted_arcs():
-        nv, nw = adj[v], adj[w]
-        splits.append((nw - nv, nv - nw))
-    return splits
+    return [(adj[w] - adj[v], adj[v] - adj[w]) for v, w in arcs]
 
 
 def _factors(splits: Iterable[Split]) -> list[LinearFactor]:
@@ -184,7 +188,7 @@ def additive_factors(D: Orientation) -> list[LinearFactor]:
     negative ones N(v) \\ N(w), each ascending; w always appears negatively
     and v positively, so no factor is ever empty.
     """
-    return _factors(_additive_splits(D))
+    return _factors(_additive_splits(D._adjacency(), D.sorted_arcs()))
 
 
 def _bit_fields(caps: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int, int]]:
@@ -239,7 +243,7 @@ def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> di
 
     A product is kept only when its fields under the step's mask equal the
     cap's there: `_coefficient` passes the fields of the variables that
-    retire at the step, `expand_capped` mask 0, which keeps every product.
+    retire at the step, `_expand` mask 0, which keeps every product.
     No product past the cap in any field is formed. A coefficient that
     cancels to 0 stays in the map and is skipped when the next step reads
     it, so the map is never copied to drop it: the result may hold zero
@@ -263,24 +267,9 @@ def _product(steps: Iterable[Step], masks: Iterable[int], packed_cap: int) -> di
     return terms
 
 
-def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> CappedPolynomial:
-    """Multiply the factors, discarding terms that overflow the cap.
-
-    Factors are taken in the frontier order of `_coefficient`, by the
-    largest variable they touch, then by support; the product does not
-    depend on the order. Every term under the cap is kept, with no
-    frontier elimination (`_product` with mask 0), so the map can grow
-    with the size of the graph; `_coefficient` retires variables instead
-    when only the cap term is wanted. Terms are keyed by packed integers.
-    Terms that cancel are skipped as the product goes and dropped once at
-    the end, so `packed` holds no zero entry. Raises ValueError for a cap
-    entry that is not a nonnegative integer and for a factor term on a
-    variable outside x_1..x_n, where n = len(cap).
-    """
-    cap = tuple(cap)
-    field = _bit_fields(enumerate(cap, 1))
-    n = len(cap)
-    splits = []
+def _factor_splits(factors: Iterable[LinearFactor], n: int) -> Iterator[Split]:
+    """Each factor as its split, checked to lie on x_1..x_n. Lazy, so
+    `_expand` checks the cap entries before any factor."""
     for factor in factors:
         positive: list[int] = []
         negative: list[int] = []
@@ -288,8 +277,41 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
             if not 0 < u <= n:
                 raise ValueError(f"factor term on x_{u} lies outside x_1..x_{n} of the cap")
             (positive if sign == 1 else negative).append(u)
-        splits.append((positive, negative))
-    terms = _product(_packed(splits, field), itertools.repeat(0), 0)
+        yield positive, negative
+
+
+def _expand(
+    splits: Iterable[Split], caps: Iterable[tuple[int, int]]
+) -> tuple[dict[int, int], Field]:
+    """The capped expansion behind `expand_capped` and the orientation
+    sweep: the product of the splits' factors, keeping every term under
+    the cap, with no frontier elimination (`_product` with mask 0).
+
+    `caps` gives (variable, cap) pairs in ascending variable order, as
+    `_bit_fields` takes them. Returns the packed terms, which may hold
+    entries that cancelled to 0, and the field layout that keys them.
+    """
+    field = _bit_fields(caps)
+    return _product(_packed(splits, field), itertools.repeat(0), 0), field
+
+
+def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> CappedPolynomial:
+    """Multiply the factors, discarding terms that overflow the cap.
+
+    Factors are taken in the frontier order of `_coefficient`, by the
+    largest variable they touch, then by support; the product does not
+    depend on the order. Every term under the cap is kept, with no
+    frontier elimination (`_expand`), so the map can grow with the size
+    of the graph; `_coefficient` retires variables instead when only the
+    cap term is wanted. Terms are keyed by packed integers. Terms that
+    cancel are skipped as the product goes and dropped once at the end,
+    so `packed` holds no zero entry. Raises ValueError for a cap
+    entry that is not a nonnegative integer and for a factor term on a
+    variable outside x_1..x_n, where n = len(cap).
+    """
+    cap = tuple(cap)
+    n = len(cap)
+    terms, field = _expand(_factor_splits(factors, n), enumerate(cap, 1))
     unit = tuple(field[u][2] if u in field else 0 for u in range(1, n + 1))
     return CappedPolynomial(cap, {k: c for k, c in terms.items() if c}, unit)
 
@@ -339,4 +361,4 @@ def additive_coefficient(D: Orientation) -> int:
     on the labels.
     """
     D = D.frontier_relabelled()
-    return _coefficient(_additive_splits(D), D._out_degree_map)
+    return _coefficient(_additive_splits(D._adjacency(), D.sorted_arcs()), D._out_degree_map)

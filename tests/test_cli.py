@@ -549,7 +549,12 @@ HUGE_HEADER_CASES = [
     (HUGE_ARC, ["check-hypothesis"], "true\n"),
     (HUGE_ARC, ["check-hypothesis", "--tripartite"], "true\n"),
     (HUGE_EDGE, ["color", "--lists", '{"1":[1],"2":[2]}'], None),
-    (HUGE_EDGE, ["sweep"], None),
+    (
+        HUGE_EDGE,
+        ["sweep"],
+        "examined 2 orientations\nzero-coefficient orientations: 0\ncoefficient histogram:\n"
+        "  1: 2\nwitness: orientation 0\n1 -> 2\n",
+    ),
 ]
 #: the fault a command that stops at once on a huge header must name
 HUGE_HEADER_ERRORS = {"color": "lists must cover exactly the vertices 1..n"}

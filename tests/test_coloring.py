@@ -24,10 +24,12 @@ from wdlab import (
     Orientation,
     VertexPartition,
     additive_coefficient,
+    additive_factors,
     check_simplicial_sink_hypothesis,
     check_tripartite_hypothesis,
     conjecture_sweep,
     count_ee_eo_wd,
+    expand_capped,
     find_additive_coloring,
     gen_complete,
     gen_complete_bipartite,
@@ -38,7 +40,7 @@ from wdlab import (
     orientation_from_index,
     simplicial_vertices,
 )
-from wdlab.coloring import _additive_colorings, _simplicial_sinks
+from wdlab.coloring import _additive_colorings, _expand_pg, _simplicial_sinks
 
 
 def product_colorings(G, lists):
@@ -435,8 +437,8 @@ class TestConjectureSweep:
             checked += 1
             self.assert_same_report(conjecture_sweep(G), sweep_by_orientation(G))
 
-    def test_disconnected_graphs_match_oracle(self):
-        # an isolated vertex has cap 0, so it owns no field of the packed key
+    @staticmethod
+    def disconnected_graphs():
         rng = random.Random(97)
         graphs = [Graph(0, frozenset()), Graph.of(3, []), Graph.of(6, [(1, 2), (2, 3), (5, 6)])]
         while len(graphs) < 25:
@@ -444,6 +446,11 @@ class TestConjectureSweep:
             G = random_graph(rng, n, p=rng.choice((0.2, 0.35)))
             if not is_connected(n, G.edges) and len(G.edges) <= 8:
                 graphs.append(G)
+        return graphs
+
+    def test_disconnected_graphs_match_oracle(self):
+        # an isolated vertex has cap 0, so it owns no field of the packed key
+        graphs = self.disconnected_graphs()
         assert sum(any(G.degree(v) == 0 for v in G.vertices()) for G in graphs) >= 10
         for G in graphs:
             self.assert_same_report(conjecture_sweep(G), sweep_by_orientation(G))
@@ -451,6 +458,41 @@ class TestConjectureSweep:
         for limit in range((1 << len(G.edges)) + 1):
             self.assert_same_report(
                 conjecture_sweep(G, limit=limit), sweep_by_orientation(G, limit=limit))
+
+    def test_expansion_matches_expand_capped(self):
+        # the sweep reads P_G off G's neighbourhood map; spelled through
+        # orientation 0's factor objects it is the same packed map
+        rng = random.Random(101)
+        graphs = self.disconnected_graphs()
+        while len(graphs) < 75:
+            n = rng.randint(4, 8)
+            G = random_graph(rng, n, p=rng.choice((0.3, 0.5)))
+            if len(G.edges) <= 14:
+                graphs.append(G)
+        for G in graphs:
+            terms, _ = _expand_pg(G, G.sorted_edges())
+            degrees = tuple(G.degree(v) for v in G.vertices())
+            want = expand_capped(additive_factors(orientation_from_index(G, 0)), degrees)
+            assert {k: c for k, c in terms.items() if c} == want.packed
+
+    def test_isolated_vertices_cost_nothing(self):
+        # no per-vertex table: a million-vertex header answers as the
+        # compact graph does, at once
+        edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
+        compact = conjecture_sweep(Graph.of(5, edges))
+        start = time.monotonic()
+        huge = conjecture_sweep(Graph.of(10**6, edges))
+        assert time.monotonic() - start < 0.1
+        assert huge.histogram == compact.histogram
+        assert huge.witness_index == compact.witness_index == 0
+        assert huge.witness_coefficient == compact.witness_coefficient
+        assert huge.witness.arcs == compact.witness.arcs
+
+    @pytest.mark.parametrize("limit", [True, False, 1.5, 2.0, "3"])
+    def test_limit_must_be_an_integer(self, limit):
+        # a bool would come back as `examined`, a float would fail in range()
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            conjecture_sweep(gen_complete(3), limit=limit)
 
     @pytest.mark.parametrize("G", [gen_cycle(5), gen_complete_bipartite(2, 2)], ids=["c5", "k22"])
     def test_every_limit_matches_oracle(self, G):
