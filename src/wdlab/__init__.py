@@ -41,9 +41,7 @@ from .polynomials import (
     CappedPolynomial,
     LinearFactor,
     additive_coefficient,
-    additive_factors,
     classical_coefficient,
-    classical_factors,
     expand_capped,
 )
 from .wd import (
@@ -74,12 +72,10 @@ __all__ = [
     "VertexPartition",
     "WDigraph",
     "additive_coefficient",
-    "additive_factors",
     "build_wd",
     "check_simplicial_sink_hypothesis",
     "check_tripartite_hypothesis",
     "classical_coefficient",
-    "classical_factors",
     "conjecture_sweep",
     "count_ee_eo_bruteforce",
     "count_ee_eo_classic",

@@ -15,6 +15,10 @@ remembers frontier states that led to no coloring. Both prunings drop
 only labelings that fail, so the first coloring found is the
 lexicographically first one in the product of the sorted lists. Its
 budget counts nodes visited, one per value assigned.
+
+The sweep driver checks its arguments and the edge bound, builds the
+witness and the report; the coefficients it reports come from
+`polynomials`, which alone knows the packed layout of P_G's terms.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from .graphs import (
     Orientation,
     VertexPartition,
     _is_simplicial,
+    _natural,
     orientation_count,
     orientation_from_index,
     two_color,
 )
-from .polynomials import Field, _additive_splits, _expand
+from .polynomials import _sweep_coefficients
 
 #: Most nodes (values assigned) the coloring search will visit.
 DEFAULT_COLORING_BOUND = 10_000_000
@@ -133,7 +138,7 @@ def _additive_colorings(
     """
     # every per-vertex table has an unused slot 0, so vertex v is at index v
     sorted_lists = [[]] + _validated_lists(G, lists)
-    limit = DEFAULT_COLORING_BOUND if bound is None else bound
+    limit = DEFAULT_COLORING_BOUND if bound is None else _natural("bound", bound)
     last = G.n
     if last == 0:
         yield {}
@@ -308,20 +313,6 @@ class SweepReport:
         return self.witness_index is not None
 
 
-def _expand_pg(G: Graph, edges: list[tuple[int, int]]) -> tuple[dict[int, int], Field]:
-    """P_G, the additive polynomial of orientation 0, capped at the degree
-    vector: its packed terms, zero entries included, and their field
-    layout (`polynomials._expand`).
-
-    `edges` is `G.sorted_edges()`, which orientation 0 directs as they
-    are, so its splits are read straight off G's neighbourhood map; the
-    caps are the degrees of the touched vertices, and an isolated vertex
-    has cap 0 and no field.
-    """
-    adj = G._adj
-    return _expand(_additive_splits(adj, edges), [(u, len(around)) for u, around in adj.items()])
-
-
 def conjecture_sweep(
     G: Graph,
     bound: Optional[int] = None,
@@ -329,63 +320,29 @@ def conjecture_sweep(
 ) -> SweepReport:
     """Compute the additive coefficient of every orientation of G.
 
-    Reversing an arc negates its additive factor (Alon and Tarsi, 1992),
-    so orientation `index` has the polynomial P_G of orientation 0 times
-    (-1)^popcount(index). The sweep expands P_G once, capped at the degree
-    vector, and reads each orientation's coefficient off its out-degree
-    monomial. It reads P_G's factors straight off G's neighbourhood map
-    (`_expand_pg`), with no orientation, factor objects or per-vertex
-    table, so an isolated vertex costs it nothing. It walks the indices
-    as a binary counter, so each step reverses fewer than 2 arcs on
-    average and costs one lookup of the packed out-degree key: one
-    expansion plus O(1) per orientation. Its memory is P_G's capped term
-    map (116,184 terms on the Petersen graph, a peak RSS of about 48 MB
-    for the whole process). Only the witness is built as an `Orientation`.
+    The coefficients come from one expansion of P_G, the additive
+    polynomial of orientation 0, plus O(1) per orientation
+    (`polynomials._sweep_coefficients`): orientation `index` has P_G times
+    (-1)^popcount(index) (Alon and Tarsi, 1992). Its memory is P_G's
+    capped term map: on the Petersen graph, 116,184 terms, swept in
+    0.7-0.8 s at a peak RSS of about 44 MB for the whole process on a
+    2-core x86-64 host with Python 3.11. Only the witness is built as an
+    `Orientation`.
 
     `limit` truncates the scan to the first orientations by index; it
     must be a non-negative integer, and a bool is not one. It does not
-    skip the expansion. The edge bound is checked first, whatever the
-    limit.
+    skip the expansion. The limit and then the edge bound are checked
+    before the expansion.
     """
     if limit is not None:
-        if isinstance(limit, bool) or not isinstance(limit, int):
-            raise ValueError(f"limit must be an integer, got {limit!r}")
-        if limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
+        _natural("limit", limit)
     total = orientation_count(G, bound)
     examined = total if limit is None else min(limit, total)
-    edges = G.sorted_edges()
-    terms, field = _expand_pg(G, edges)
-    get = terms.get
-    # Bit i of the index reverses edge i = (u, v), which moves one out-arc
-    # from u to v. Going from index - 1 to index sets bit t, the lowest set
-    # bit of index, and clears bits 0..t-1: that adds jump[t] to the packed
-    # out-degree key and flips the sign t + 1 times. Both ends of an edge
-    # are touched, so each has a field, whose third entry is the key of x_u.
-    jump, cleared = [], 0
-    for u, v in edges:
-        flip = field[v][2] - field[u][2]
-        jump.append(flip - cleared)
-        cleared += flip
-    # orientation 0 directs every edge (u, v), u < v, out of u
-    key = sum(field[u][2] for u, _ in edges)
-    sign = 1
-    histogram: dict[int, int] = {}
-    witness_index: Optional[int] = None
-    witness_coefficient: Optional[int] = None
-    for index in range(examined):
-        if index:
-            t = (index & -index).bit_length() - 1
-            key += jump[t]
-            if not t & 1:
-                sign = -sign
-        coef = sign * get(key, 0)
-        histogram[coef] = histogram.get(coef, 0) + 1
-        if coef != 0 and witness_index is None:
-            witness_index, witness_coefficient = index, coef
+    histogram, first = _sweep_coefficients(G, examined)
+    witness_index, witness_coefficient = first or (None, None)
     return SweepReport(
         examined=examined,
-        histogram=dict(sorted(histogram.items())),
+        histogram=histogram,
         zero_count=histogram.get(0, 0),
         witness_index=witness_index,
         witness=None if witness_index is None else orientation_from_index(G, witness_index),

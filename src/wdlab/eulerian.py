@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
 from .errors import BoundExceededError
-from .graphs import Orientation
+from .graphs import Orientation, _natural
 
 #: Largest arc count for which subset enumeration is allowed by default.
 DEFAULT_EULERIAN_BOUND = 24
@@ -65,7 +65,7 @@ def _arc_list(H) -> list[Arc]:
 
 
 def _check_bound(m: int, bound: Optional[int]) -> None:
-    limit = DEFAULT_EULERIAN_BOUND if bound is None else bound
+    limit = DEFAULT_EULERIAN_BOUND if bound is None else _natural("bound", bound)
     if m > limit:
         raise BoundExceededError(f"digraph has {m} arcs, above the enumeration bound {limit}")
 
@@ -287,7 +287,7 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
     Raises BoundExceededError once one level holds more than `bound`
     states (default DEFAULT_WD_STATE_BOUND).
     """
-    limit = DEFAULT_WD_STATE_BOUND if bound is None else bound
+    limit = DEFAULT_WD_STATE_BOUND if bound is None else _natural("bound", bound)
     plan = sorted(plan, key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
     # units out of and into each vertex the plan touches; no other vertex
     # gets an entry, so nothing here is per vertex

@@ -304,6 +304,20 @@ def strict_int(text: str) -> int:
     return int(stripped)
 
 
+def _natural(name: str, value: int) -> int:
+    """`value`, checked to be a non-negative int; a bool is not one.
+
+    The one check of every count, bound and index argument: a bool would
+    run as 0 or 1 and a float would fail later in range() or a shift, so
+    each raises ValueError naming the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def parse(text: str) -> Graph | Orientation:
     """Parse the edge-list file format.
 
@@ -477,7 +491,7 @@ def orientation_from_index(G: Graph, index: int) -> Orientation:
     sweep name its witness and reproduce it.
     """
     edges = G.sorted_edges()
-    if not (0 <= index < (1 << len(edges))):
+    if _natural("index", index) >= 1 << len(edges):
         raise ValueError(f"orientation index {index} out of range")
     arcs = []
     for i, (u, v) in enumerate(edges):
@@ -487,7 +501,7 @@ def orientation_from_index(G: Graph, index: int) -> Orientation:
 
 def orientation_count(G: Graph, bound: Optional[int] = None) -> int:
     """Number of orientations of G, 2^m; raises past the edge bound."""
-    limit = DEFAULT_ORIENTATION_BOUND if bound is None else bound
+    limit = DEFAULT_ORIENTATION_BOUND if bound is None else _natural("bound", bound)
     m = len(G.edges)
     if m > limit:
         raise BoundExceededError(

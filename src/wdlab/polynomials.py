@@ -12,13 +12,16 @@ cap in some coordinate; since factors only ever raise exponents, pruning
 never loses a coefficient that fits under the cap. Coefficients are exact
 Python integers throughout.
 
-Each factor is spelled once, as its (positive, negative) variables: a
-*split*. `_classical_splits` and `_additive_splits` read them off D, and
-`expand_capped` takes them from its `LinearFactor`s; the orientation
-sweep (`coloring.conjecture_sweep`) reads those of P_G with
-`_additive_splits` straight off the graph's neighbourhood map. One
-builder (`_packed`) turns every split into a packed step and a frontier
-key.
+This module holds every expansion in the package: both certificate
+coefficients and the orientation sweep's (`_sweep_coefficients`, behind
+`coloring.conjecture_sweep`). Each factor is spelled once, as its
+(positive, negative) variables: a *split*. `_classical_splits` and
+`_additive_splits` read them off D, and `expand_capped` takes them from
+its `LinearFactor`s; the sweep reads those of P_G with `_additive_splits`
+straight off the graph's neighbourhood map. One builder (`_packed`) turns
+every split into a packed step and a frontier key. No package code calls
+`expand_capped`: it is the factor-object form of `_expand`, kept for the
+tests and for the benchmark's tracer, which binds it by name.
 
 `_expand`, behind `expand_capped` and the sweep, keeps every term under
 the cap: the sweep reads one coefficient per orientation off the same
@@ -43,7 +46,8 @@ its terms can never fire and are dropped before the product starts. The
 cap test masks the key and compares it with the cap shifted into place,
 and so does `_coefficient`'s retirement test. A `CappedPolynomial`
 keeps the packed map and each variable's unit; its exponent-vector view
-`terms` is built only when it is first read.
+`terms` is built only when it is first read. No other module reads a
+packed key: the sweep's out-degree key is built here too.
 
 A packed *step* holds one (sign, mask, cap, unit) entry per variable that
 can fire, and both engines multiply by the steps in one loop
@@ -68,9 +72,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import Orientation
+from .graphs import Graph, Orientation
 
 ExponentVector = tuple[int, ...]
 #: A packed-key layout: variable -> (mask, cap, unit) of its field.
@@ -130,22 +134,6 @@ class CappedPolynomial:
             for key, coef in self.packed.items()
         }
 
-    def coefficient(self, exponents: ExponentVector) -> int:
-        exponents = tuple(exponents)
-        if len(exponents) != len(self.cap):
-            raise ValueError(
-                f"exponents {exponents} have {len(exponents)} entries,"
-                f" the cap {self.cap} has {len(self.cap)}"
-            )
-        # a non-integer entry would pack to the key of another monomial
-        if any(not isinstance(e, int) or e < 0 for e in exponents):
-            raise ValueError(
-                f"exponents {exponents} have an entry that is not a nonnegative integer"
-            )
-        if any(e > c for e, c in zip(exponents, self.cap)):
-            raise ValueError(f"exponents {exponents} exceed the cap {self.cap}")
-        return self.packed.get(sum(e * one for e, one in zip(exponents, self.unit)), 0)
-
 
 def _classical_splits(D: Orientation) -> list[Split]:
     """Each arc's classical factor (x_v - x_w) as its (positive, negative)
@@ -165,30 +153,6 @@ def _additive_splits(
     positive part and w in the negative one, so neither is ever empty.
     """
     return [(adj[w] - adj[v], adj[v] - adj[w]) for v, w in arcs]
-
-
-def _factors(splits: Iterable[Split]) -> list[LinearFactor]:
-    """Each split as a `LinearFactor`: its positive variables ascending,
-    then its negative ones ascending."""
-    return [
-        LinearFactor(tuple([(1, u) for u in sorted(pos)] + [(-1, u) for u in sorted(neg)]))
-        for pos, neg in splits
-    ]
-
-
-def classical_factors(D: Orientation) -> list[LinearFactor]:
-    """One (x_v - x_w) factor per arc, in sorted arc order."""
-    return _factors(_classical_splits(D))
-
-
-def additive_factors(D: Orientation) -> list[LinearFactor]:
-    """Neighbor-sum difference per arc, reduced to the disjoint parts.
-
-    For the arc (v, w) the positive variables are N(w) \\ N(v) and the
-    negative ones N(v) \\ N(w), each ascending; w always appears negatively
-    and v positively, so no factor is ever empty.
-    """
-    return _factors(_additive_splits(D._adjacency(), D.sorted_arcs()))
 
 
 def _bit_fields(caps: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int, int]]:
@@ -362,3 +326,54 @@ def additive_coefficient(D: Orientation) -> int:
     """
     D = D.frontier_relabelled()
     return _coefficient(_additive_splits(D._adjacency(), D.sorted_arcs()), D._out_degree_map)
+
+
+def _sweep_coefficients(
+    G: Graph, examined: int
+) -> tuple[dict[int, int], Optional[tuple[int, int]]]:
+    """The additive coefficients of orientations 0..examined - 1 of G
+    (`orientation_from_index`): their histogram, sorted by value, and the
+    first nonzero one as (index, coefficient), None when all vanish.
+
+    Reversing an arc negates its additive factor (Alon and Tarsi, 1992),
+    so orientation `index` has the polynomial P_G of orientation 0 times
+    (-1)^popcount(index). P_G is expanded once (`_expand`), capped at the
+    degree vector, and each orientation's coefficient is read off its
+    out-degree monomial. Orientation 0 directs each of G's sorted edges
+    as it is, so P_G's splits are read straight off G's neighbourhood map,
+    with no orientation, factor objects or per-vertex table: an isolated
+    vertex has cap 0 and no field, and costs nothing. The indices are
+    walked as a binary counter, so each step reverses fewer than 2 arcs on
+    average and costs one lookup of the packed out-degree key.
+    """
+    adj = G._adj
+    edges = G.sorted_edges()
+    caps = [(u, len(around)) for u, around in adj.items()]
+    terms, field = _expand(_additive_splits(adj, edges), caps)
+    get = terms.get
+    # Bit i of the index reverses edge i = (u, v), which moves one out-arc
+    # from u to v. Going from index - 1 to index sets bit t, the lowest set
+    # bit of index, and clears bits 0..t-1: that adds jump[t] to the packed
+    # out-degree key and flips the sign t + 1 times. Both ends of an edge
+    # are touched, so each has a field, whose third entry is the key of x_u.
+    jump, cleared = [], 0
+    for u, v in edges:
+        flip = field[v][2] - field[u][2]
+        jump.append(flip - cleared)
+        cleared += flip
+    # orientation 0 directs every edge (u, v), u < v, out of u
+    key = sum(field[u][2] for u, _ in edges)
+    sign = 1
+    histogram: dict[int, int] = {}
+    first: Optional[tuple[int, int]] = None
+    for index in range(examined):
+        if index:
+            t = (index & -index).bit_length() - 1
+            key += jump[t]
+            if not t & 1:
+                sign = -sign
+        coef = sign * get(key, 0)
+        histogram[coef] = histogram.get(coef, 0) + 1
+        if coef != 0 and first is None:
+            first = index, coef
+    return dict(sorted(histogram.items())), first

@@ -32,6 +32,7 @@ from wdlab import (
 from wdlab.coloring import _additive_colorings
 from wdlab.eulerian import _arc_list
 from wdlab.graphs import orientation_count, orientation_from_index, two_color
+from wdlab.polynomials import _additive_splits, _classical_splits
 from wdlab.wd import WArc
 
 
@@ -91,6 +92,27 @@ def odd_cycle_vertex_sets(G: Graph) -> list[frozenset[int]]:
                     cycles.add(frozenset(subset))
                     break
     return sorted(cycles, key=sorted)
+
+
+def factors_of(splits) -> list[LinearFactor]:
+    """Each (positive, negative) split as the `LinearFactor` that
+    `expand_capped` takes: its positive variables ascending, then its
+    negative ones ascending."""
+    return [
+        LinearFactor(tuple([(1, u) for u in sorted(pos)] + [(-1, u) for u in sorted(neg)]))
+        for pos, neg in splits
+    ]
+
+
+def classical_factors(D: Orientation) -> list[LinearFactor]:
+    """One (x_v - x_w) factor per arc of D, in sorted arc order."""
+    return factors_of(_classical_splits(D))
+
+
+def additive_factors(D: Orientation) -> list[LinearFactor]:
+    """The additive factor of each arc (v, w) of D, in sorted arc order:
+    N(w) \\ N(v) positively and N(v) \\ N(w) negatively."""
+    return factors_of(_additive_splits(D._adjacency(), D.sorted_arcs()))
 
 
 def expand_capped_tuples(

@@ -576,3 +576,21 @@ def test_huge_header_with_one_edge(tmp_path, text, argv, answer):
         assert HUGE_HEADER_ERRORS.get(argv[0], "") in done.stderr
     else:
         assert (done.returncode, done.stdout) == (0, answer), done.stderr
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_golden_bytes(capsys, monkeypatch):
+    # every pinned invocation (tests/golden/regen.py rewrites the pins)
+    # gives the recorded exit code, stdout and stderr, byte for byte
+    cases = json.loads((GOLDEN / "cli.json").read_text())
+    assert len(cases) >= 50
+    for case in cases:
+        monkeypatch.delenv("WD_LAB_BOUND", raising=False)
+        for key, value in case["env"].items():
+            monkeypatch.setenv(key, value)
+        argv = [str(GOLDEN / a) if a.startswith("inputs/") else a for a in case["argv"]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"]), case["name"]

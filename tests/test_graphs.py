@@ -24,8 +24,12 @@ from wdlab import (
     ParseError,
     additive_coefficient,
     classical_coefficient,
+    conjecture_sweep,
+    count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
+    enumerate_eulerian_spanning,
+    find_additive_coloring,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
@@ -470,3 +474,36 @@ class TestEnumerateOrientations:
         assert sum(1 for _ in enumerate_orientations(gen_complete(3), bound=3)) == 8
         with pytest.raises(BoundExceededError):
             next(enumerate_orientations(gen_complete(3), bound=2))
+
+
+K3 = gen_complete(3)
+K3_ARC = Orientation(3, frozenset([(1, 2), (2, 3), (1, 3)]))
+K3_LISTS = {v: [1, 2, 3] for v in K3.vertices()}
+#: Every bound and index argument (the sweep's limit has its own tests):
+#: its name, a call on a value and a value that call takes.
+COUNT_ARGUMENTS = {
+    "conjecture_sweep bound": ("bound", lambda x: conjecture_sweep(K3, x), 3),
+    "count_ee_eo_wd bound": ("bound", lambda x: count_ee_eo_wd(K3_ARC, x), 3),
+    "count_ee_eo_classic bound": ("bound", lambda x: count_ee_eo_classic(K3_ARC, x), 3),
+    "find_additive_coloring bound": (
+        "bound", lambda x: find_additive_coloring(K3, K3_LISTS, x), 100
+    ),
+    "enumerate_eulerian_spanning bound": (
+        "bound", lambda x: list(enumerate_eulerian_spanning(K3_ARC, x)), 3
+    ),
+    "count_ee_eo_bruteforce bound": ("bound", lambda x: count_ee_eo_bruteforce(K3_ARC, x), 3),
+    "orientation_from_index index": ("index", lambda x: orientation_from_index(K3, x), 7),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_ARGUMENTS)
+def test_count_arguments_are_checked_once(case):
+    # a bool would run as 0 or 1, a float or a string would fail later
+    # with a TypeError, and a negative value would read as a bound hit
+    name, call, valid = COUNT_ARGUMENTS[case]
+    for value in ("x", "1", 1.0, 2.5, True, False):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+        call(-1)
+    call(valid)

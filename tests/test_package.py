@@ -1,6 +1,7 @@
 """The package's shape: its exported names, the imports that keep the
-two certificate routes independent, the names the benchmark's tracer
-binds to, and the layout of the committed benchmark results."""
+two certificate routes independent, the packed-key names that stay inside
+`polynomials`, the names the benchmark's tracer binds to, and the layout
+of the committed benchmark results."""
 
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ import re
 from pathlib import Path
 
 import wdlab
+from helpers import additive_factors
 from wdlab import coloring, eulerian, graphs, polynomials, wd
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(wdlab.__file__).parent
 
 EXPORTS = {
     "BoundExceededError",
@@ -31,12 +34,10 @@ EXPORTS = {
     "VertexPartition",
     "WDigraph",
     "additive_coefficient",
-    "additive_factors",
     "build_wd",
     "check_simplicial_sink_hypothesis",
     "check_tripartite_hypothesis",
     "classical_coefficient",
-    "classical_factors",
     "conjecture_sweep",
     "count_ee_eo_bruteforce",
     "count_ee_eo_classic",
@@ -58,11 +59,14 @@ EXPORTS = {
 }
 
 
+def module_tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
 def package_imports(module: str) -> set[str]:
     """Sibling modules of the package that `module` imports."""
-    tree = ast.parse((Path(wdlab.__file__).parent / f"{module}.py").read_text())
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(module_tree(module)):
         if isinstance(node, ast.ImportFrom):
             if node.level:
                 found.add(node.module or "")
@@ -91,6 +95,39 @@ def test_import_scan_sees_package_imports():
     assert package_imports("cli") >= {"coloring", "eulerian", "graphs", "polynomials", "wd"}
 
 
+#: The names that spell the packed-key layout of the expansions.
+PACKED_LAYOUT = {"_bit_fields", "_packed", "_product", "_expand", "Field"}
+
+
+def names_used(module: str) -> set[str]:
+    """Every name, attribute and imported name that `module` spells."""
+    found = set()
+    for node in ast.walk(module_tree(module)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_only_polynomials_knows_the_packed_layout():
+    # the sweep takes its coefficients from one polynomials function, and
+    # no other module can build or read a packed key
+    imported = [
+        alias.name
+        for node in ast.walk(module_tree("coloring"))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "polynomials"
+        for alias in node.names
+    ]
+    assert len(imported) == 1, imported
+    assert names_used("polynomials") >= PACKED_LAYOUT
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "polynomials":
+            assert not names_used(path.stem) & PACKED_LAYOUT, path.name
+
+
 def test_benchmark_tracer_hooks_bind_to_the_package():
     # the benchmark's tracer wraps its targets by module and name and reads
     # `support()` off expand_capped's first argument and `terms` off its
@@ -111,7 +148,7 @@ def test_benchmark_tracer_hooks_bind_to_the_package():
         eulerian.count_ee_eo_classic(D)
         polynomials.additive_coefficient(D)
         polynomials.classical_coefficient(D)
-        polynomials.expand_capped(polynomials.additive_factors(D), D.out_degrees())
+        polynomials.expand_capped(additive_factors(D), D.out_degrees())
         coloring.find_additive_coloring(G, {v: [1, 2, 3] for v in G.vertices()})
         coloring.conjecture_sweep(G)
         coloring.check_simplicial_sink_hypothesis(G, D)
