@@ -41,6 +41,32 @@ ORIENTATIONS = {
     "d2": "4\n2 -> 1\n4 -> 1\n1 -> 3\n3 -> 4\n3 -> 2\n",
     "d3": "4\n2 -> 1\n3 -> 2\n3 -> 4\n4 -> 1\n",
 }
+#: Files the parser rejects, written to `inputs/` like the others.
+MALFORMED = {
+    "bad-self-loop": "3\n1 -- 1\n2 -- 3\n",
+    "bad-duplicate": "3\n1 -- 2\n2 -- 1\n",
+    "bad-both-directions": "2\n1 -> 2\n2 -> 1\n",
+    "bad-mixed": "3\n1 -- 2\n2 -> 3\n",
+    "bad-header": "x\n1 -- 2\n",
+    "bad-range": "2\n1 -- 3\n",
+}
+#: `color --lists` values on k3, by case name: two answers, a "none", and
+#: one of each error the lists can raise.
+K3_LISTS = {
+    "answer": '{"1":[1,2],"2":[1,2,3],"3":[1,2,3]}',
+    "padded-key": '{"01":[1],"2":[2],"3":[3]}',
+    "none": '{"1":[1],"2":[1],"3":[1]}',
+    "missing-vertex": '{"1":[1],"2":[2]}',
+    "empty-list": '{"1":[],"2":[2],"3":[3]}',
+    "non-integer": '{"1":[1,"a"],"2":[2],"3":[3]}',
+    "non-positive": '{"1":[0],"2":[2],"3":[3]}',
+    "bad-key": '{"x":[1],"2":[2],"3":[3]}',
+    "one-vertex-twice": '{"1":[1],"01":[2],"2":[2],"3":[3]}',
+    "non-array": '{"1":1,"2":[2],"3":[3]}',
+    "nested-object": '{"1":{"1":1},"2":[2],"3":[3]}',
+    "not-an-object": "[1]",
+    "not-json": "nope",
+}
 
 
 def cases() -> list[dict]:
@@ -63,6 +89,27 @@ def cases() -> list[dict]:
         for mode in ([], ["--additive"], ["--classic"]):
             tag = mode[0][2:] if mode else "default"
             add(f"coefficient-{name}-{tag}", ["coefficient", f"inputs/{name}.txt", *mode])
+    for tag, lists in K3_LISTS.items():
+        add(f"color-k3-{tag}", ["color", "inputs/k3.txt", "--lists", lists])
+    # C5 from {1, 2} has no coloring, and the search proves it through the
+    # dead-state memo; the split graph has an isolated vertex. No case reads
+    # the wrong kind of file, since that message holds the file's full path
+    c5 = {v: [1, 2] for v in range(1, 6)}
+    split = {1: [1, 2, 3], 2: [1, 2, 3], 3: [1, 2, 3], 4: [1, 2], 5: [1, 2], 6: [9]}
+    for name, lists in (("c5", c5), ("split", split)):
+        text = json.dumps(lists, separators=(",", ":"))
+        add(f"color-{name}", ["color", f"inputs/{name}.txt", "--lists", text])
+    for name in (*ORIENTATIONS, "sun3", "header5"):
+        for mode in ([], ["--wd"], ["--classic"]):
+            tag = mode[0][2:] if mode else "default"
+            add(f"count-{name}-{tag}", ["count", f"inputs/{name}.txt", *mode])
+        for mode in ([], ["--tripartite"]):
+            tag = "tripartite" if mode else "sinks"
+            argv = ["check-hypothesis", f"inputs/{name}.txt", *mode]
+            add(f"check-hypothesis-{name}-{tag}", argv)
+        add(f"build-wd-{name}", ["build-wd", f"inputs/{name}.txt"])
+    for name in MALFORMED:
+        add(f"count-{name}", ["count", f"inputs/{name}.txt"])
     return out
 
 
@@ -89,7 +136,7 @@ def run(case: dict) -> dict:
 def main() -> None:
     inputs = GOLDEN / "inputs"
     inputs.mkdir(exist_ok=True)
-    for name, text in {**GRAPHS, **ORIENTATIONS}.items():
+    for name, text in {**GRAPHS, **ORIENTATIONS, **MALFORMED}.items():
         (inputs / f"{name}.txt").write_text(text)
     sun3 = run({"name": "", "argv": ["gen", "sun", "3"], "env": {}})
     (inputs / "sun3.txt").write_text(sun3["stdout"])

@@ -187,7 +187,10 @@ class TestFindAdditiveColoring:
         rng = random.Random(40)
         lists = {v: sorted(rng.sample(range(1, 51), 2)) for v in G.vertices()}
         lists.update({1: [4, 7], 2: [7], 3: [16, 30], 40: [13]})
-        ell = find_additive_coloring(G, lists, bound=1000)
+        # the answer takes 592 nodes, the dead states found on the way included
+        with pytest.raises(BoundExceededError, match="reached 592 nodes, above the node bound 591 "):
+            find_additive_coloring(G, lists, bound=591)
+        ell = find_additive_coloring(G, lists, bound=592)
         assert ell is not None and is_additive_coloring(G, ell)
         assert (ell[1], ell[3]) == (4, 30)
         monkeypatch.setattr("wdlab.coloring._DEAD_SUMS_MAX", 0)
