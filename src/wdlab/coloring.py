@@ -8,13 +8,14 @@ sinks, or a qualifying class of a 3-partition, which is the same check
 with a non-empty sink class) force the odd Eulerian count of W(D) to
 zero, which makes the coefficient positive.
 
-The list search backtracks over vertices 1..n in natural order, each
-vertex taking the values of its sorted list from the smallest. It checks
-an edge as soon as both ends have all their neighbors labeled, and it
-remembers frontier states that led to no coloring. Both prunings drop
-only labelings that fail, so the first coloring found is the
-lexicographically first one in the product of the sorted lists. Its
-budget counts nodes visited, one per value assigned.
+The list search stops at the first coloring it reaches, or answers None.
+It backtracks over vertices 1..n in natural order, each vertex taking
+the values of its sorted list from the smallest. It checks an edge as
+soon as both ends have all their neighbors labeled, and it remembers
+frontier states that led to no coloring. Both prunings drop only
+labelings that fail, so its answer is the lexicographically first
+coloring in the product of the sorted lists. Its budget counts nodes
+visited, one per value assigned.
 
 The sweep driver checks its arguments and the edge bound, builds the
 witness and the report; the coefficients it reports come from
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import BoundExceededError
 from .graphs import (
@@ -105,13 +106,14 @@ def _empty_key(sums: list[int]) -> tuple[()]:
     return ()
 
 
-def _additive_colorings(
+def find_additive_coloring(
     G: Graph,
     lists: Mapping[int, Sequence[int]],
     bound: Optional[int] = None,
-) -> Iterator[dict[int, int]]:
-    """Every labeling from the lists whose neighbor-sums properly color G,
-    in lexicographic order of (label of 1, ..., label of n).
+) -> Optional[dict[int, int]]:
+    """First labeling from the lists whose neighbor-sums properly color G,
+    in lexicographic order of (label of 1, ..., label of n); None when no
+    labeling works.
 
     Backtracks over vertices 1..n in natural order, each taking the values
     of its sorted, deduplicated list, and keeps the running neighbor sums
@@ -120,42 +122,40 @@ def _additive_colorings(
     they are equal.
 
     After step k the rest of the search sees the labels of 1..k only
-    through the partial sums of the frontier of k (`_frontiers`). So a
-    frontier state whose subtree held no coloring is remembered, and a
-    value that leads back to it is pruned. Without this, a cycle, whose
-    closing edges are checked only at the last step, could be searched in
+    through the partial sums of the frontier of k (`_frontiers`). The
+    search goes back to step k only when the subtree below held no
+    coloring, so that frontier state is remembered as dead, and a value
+    that leads back to it is pruned. Without this, a cycle, whose closing
+    edges are checked only at the last step, could be searched in
     exponential time after one bad early label. A state's key is the
     tuple of the frontier's partial sums, read by one `itemgetter` per
     step: the sum itself for a one-vertex frontier, and `()` for an empty
     one. Each step has its own set, so keys of different shapes never
     meet. The memo holds at most `_DEAD_SUMS_MAX` sums.
 
-    Every branch cut off holds no coloring, so the colorings come out in
-    the order of the product of the lists. The loop is explicit, so a long
-    path cannot exhaust the recursion depth. Each value assigned is one
-    node; past `bound` nodes (default `DEFAULT_COLORING_BOUND`) the search
-    raises BoundExceededError.
+    Both prunings drop only labelings that fail, so the answer is the one
+    a scan of the product of the sorted lists would return first. The
+    loop is explicit, so a long path cannot exhaust the recursion depth.
+    Each value assigned is one node; past `bound` nodes (default
+    `DEFAULT_COLORING_BOUND`) the search raises BoundExceededError.
     """
     # every per-vertex table has an unused slot 0, so vertex v is at index v
     sorted_lists = [[]] + _validated_lists(G, lists)
     limit = DEFAULT_COLORING_BOUND if bound is None else _natural("bound", bound)
     last = G.n
     if last == 0:
-        yield {}
-        return
+        return {}
     adjacency = [()] + [tuple(G.neighbors(v)) for v in G.vertices()]
     checks: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
     for u, v in G.edges:
         checks[max(adjacency[u] + adjacency[v])].append((u, v))
-    frontier: list[list[int]] = []  # built at the first dead end
-    key: list[Callable[[list[int]], object]] = []  # built with `frontier`
-    # dead[k] holds the keys of the dead states after step k: the frontier's
-    # partial sums as a tuple, the sum itself for a one-vertex frontier and
-    # () for an empty one
-    dead: list[Optional[set[Union[int, tuple[int, ...]]]]] = [None] * (last + 1)
+    # built together at the first dead end: dead[k] holds the keys of the
+    # dead states after step k, the frontier's partial sums as a tuple, the
+    # sum itself for a one-vertex frontier and () for an empty one
+    frontier: list[list[int]] = []
+    key: list[Callable[[list[int]], object]] = []
+    dead: list[set[Union[int, tuple[int, ...]]]] = []
     room = _DEAD_SUMS_MAX
-    found = 0  # colorings yielded so far
-    marks = [0] * (last + 1)  # `found` when each vertex took its current value
     sums = [0] * (last + 1)
     chosen = [-1] * (last + 1)  # index of each vertex's value, -1 for none
     nodes = 0
@@ -164,16 +164,14 @@ def _additive_colorings(
         values, around, schedule = sorted_lists[k], adjacency[k], checks[k]
         i = chosen[k]
         if i >= 0:
-            if k < last and found == marks[k]:
-                # the subtree below this value is used up and held no coloring
-                if not frontier:
-                    frontier = _frontiers(adjacency, checks)
-                    key = [itemgetter(*f) if f else _empty_key for f in frontier]
-                if room >= len(frontier[k]):
-                    room -= len(frontier[k])
-                    if dead[k] is None:
-                        dead[k] = set()
-                    dead[k].add(key[k](sums))
+            # back at k < n: the subtree below this value held no coloring
+            if not frontier:
+                frontier = _frontiers(adjacency, checks)
+                key = [itemgetter(*f) if f else _empty_key for f in frontier]
+                dead = [set() for _ in frontier]
+            if room >= len(frontier[k]):
+                room -= len(frontier[k])
+                dead[k].add(key[k](sums))
             # take back the value tried last at this vertex
             a = values[i]
             for y in around:
@@ -193,10 +191,9 @@ def _additive_colorings(
                     break
             else:
                 if k == last:
-                    break
-                seen = dead[k]
-                if seen is None or key[k](sums) not in seen:
-                    marks[k] = found
+                    chosen[k] = i
+                    return {v: sorted_lists[v][chosen[v]] for v in G.vertices()}
+                if not frontier or key[k](sums) not in dead[k]:
                     break
             for y in around:
                 sums[y] -= a
@@ -206,32 +203,8 @@ def _additive_colorings(
             k -= 1
             continue
         chosen[k] = i
-        if k == last:
-            found += 1
-            yield {v: sorted_lists[v][chosen[v]] for v in G.vertices()}
-        else:
-            k += 1
-
-
-def find_additive_coloring(
-    G: Graph,
-    lists: Mapping[int, Sequence[int]],
-    bound: Optional[int] = None,
-) -> Optional[dict[int, int]]:
-    """First labeling from the lists whose neighbor-sums properly color G.
-
-    The search assigns vertices 1..n in natural order, tries each sorted
-    list from its smallest value, and prunes a value as soon as an edge
-    whose ends have all their neighbors assigned gets equal neighbor-sums.
-    It also prunes a value that leads back to a frontier state already
-    searched without success (`_additive_colorings`). Pruning drops only
-    labelings that fail, so the answer is the lexicographically first
-    coloring in the product of the sorted lists, the same one a scan of
-    that product would return; None when no labeling works. `bound`
-    (default `DEFAULT_COLORING_BOUND`) caps the nodes visited, one per
-    value assigned; past it the search raises BoundExceededError.
-    """
-    return next(_additive_colorings(G, lists, bound), None)
+        k += 1
+    return None
 
 
 def _require_orients(G: Graph, D: Orientation) -> None:

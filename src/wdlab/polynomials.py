@@ -90,8 +90,9 @@ class LinearFactor:
     """Signed sum of distinct variables: terms are (sign, vertex) pairs.
 
     Construction checks that no variable repeats and that every sign is +1
-    or -1, with one set comprehension and one loop over the terms: the
-    coefficient route makes one factor per arc, so this runs once per arc.
+    or -1. The input to `expand_capped`; neither certificate coefficient
+    nor the sweep builds one, since they read splits straight off the
+    graph.
     """
 
     terms: tuple[tuple[int, int], ...]

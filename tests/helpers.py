@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the library's own search machinery:
 naive subset scans, permutation-based isomorphism, Kahn's algorithm. Slow
-but obviously correct, which is the point. The one exception,
-`nullstellensatz_coefficient`, sums over the colorings the library's
-list search yields, so that its match with the coefficient checks both.
-Lookups and oracles that only tests call live here too, not in the
+but obviously correct, which is the point. `nullstellensatz_coefficient`
+sums over the colorings of `additive_colorings`, a plain depth-first
+search with no memo, so its match with the coefficient shares no code
+with the library's list search. Lookups and oracles that only tests call live here too, not in the
 library.
 """
 
@@ -29,7 +29,6 @@ from wdlab import (
     additive_coefficient,
     gamma_paths_for_arc,
 )
-from wdlab.coloring import _additive_colorings
 from wdlab.eulerian import _arc_list
 from wdlab.graphs import orientation_count, orientation_from_index, two_color
 from wdlab.polynomials import _additive_splits, _classical_splits
@@ -425,6 +424,35 @@ def evaluate_additive(D: Orientation, assignment: Mapping[int, int]) -> int:
     return value
 
 
+def additive_colorings(G: Graph, lists: Mapping[int, Sequence[int]]) -> Iterator[dict[int, int]]:
+    """Every additive coloring from the lists, in the order of their product.
+
+    Vertices take their sorted values in order 1..n, and edge uv is checked
+    once every neighbor of u and of v has a value, so a failed edge cuts
+    its subtree. No memo: each subtree is searched in full.
+    """
+    settled = defaultdict(list)  # vertex -> edges whose sums it completes
+    for u, v in G.edges:
+        settled[max(G.neighbors(u) | G.neighbors(v))].append((u, v))
+    ell: dict[int, int] = {}
+    sums = [0] * (G.n + 1)
+
+    def extend(v: int) -> Iterator[dict[int, int]]:
+        if v > G.n:
+            yield dict(ell)
+            return
+        for a in sorted(set(lists[v])):
+            ell[v] = a
+            for y in G.neighbors(v):
+                sums[y] += a
+            if all(sums[x] != sums[y] for x, y in settled[v]):
+                yield from extend(v + 1)
+            for y in G.neighbors(v):
+                sums[y] -= a
+
+    return extend(1)
+
+
 def nullstellensatz_coefficient(D: Orientation, lists: Mapping[int, list[int]]) -> Fraction:
     """The additive coefficient [x^d] P by the quantitative Combinatorial
     Nullstellensatz (Lason 2010; Karasev and Petrov 2012).
@@ -433,8 +461,7 @@ def nullstellensatz_coefficient(D: Orientation, lists: Mapping[int, list[int]]) 
     [x^d] P = sum over c in prod A_v of P(c) / prod_v prod_{a in A_v, a != c_v} (c_v - a),
     where P(c) is the product over arcs (v, w) of s(w) - s(v) and s is the
     neighbor sum. P(c) is nonzero exactly on additive colorings, so the sum
-    runs over the colorings the library's search enumerates: a match with
-    `additive_coefficient` checks that search's completeness as well.
+    runs over `additive_colorings`.
     """
     values = {v: set(lists[v]) for v in D.vertices()}
     for v in D.vertices():
@@ -443,7 +470,7 @@ def nullstellensatz_coefficient(D: Orientation, lists: Mapping[int, list[int]]) 
     arcs = D.sorted_arcs()
     around = {v: tuple(D.neighbors(v)) for v in D.vertices()}
     total = Fraction(0)
-    for c in _additive_colorings(D.underlying(), lists):
+    for c in additive_colorings(D.underlying(), lists):
         s = {v: sum(c[u] for u in around[v]) for v in D.vertices()}
         value = 1
         for v, w in arcs:

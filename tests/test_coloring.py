@@ -7,6 +7,7 @@ import time
 import pytest
 
 from helpers import (
+    additive_colorings,
     enumerate_orientations,
     is_connected,
     nullstellensatz_coefficient,
@@ -38,7 +39,7 @@ from wdlab import (
     orientation_from_index,
     simplicial_vertices,
 )
-from wdlab.coloring import _additive_colorings, _simplicial_sinks
+from wdlab.coloring import _simplicial_sinks
 
 
 def product_colorings(G, lists):
@@ -48,6 +49,11 @@ def product_colorings(G, lists):
         for combo in itertools.product(*(lists[v] for v in G.vertices()))
     )
     return [ell for ell in labelings if is_additive_coloring(G, ell)]
+
+
+def first_product_coloring(G, lists):
+    """The first additive coloring in the product of the lists, or None."""
+    return next(iter(product_colorings(G, lists)), None)
 
 
 def disjoint_union(*parts):
@@ -105,12 +111,7 @@ class TestFindAdditiveColoring:
             n = rng.randint(2, 4)
             G = random_graph(rng, n, p=0.6)
             lists = {v: sorted(rng.sample(range(1, 6), rng.randint(1, 2))) for v in G.vertices()}
-            ell = find_additive_coloring(G, lists)
-            valid = product_colorings(G, lists)
-            if valid:
-                assert ell == valid[0]
-            else:
-                assert ell is None
+            assert find_additive_coloring(G, lists) == first_product_coloring(G, lists)
 
     def test_validation(self):
         G = gen_complete(2)
@@ -153,7 +154,7 @@ class TestFindAdditiveColoring:
             for _ in range(20):
                 G = random_graph(rng, rng.randint(5, 9), p=0.4)
                 lists = {v: sorted(rng.sample(range(1, 5), rng.randint(1, 2))) for v in G.vertices()}
-                assert list(_additive_colorings(G, lists)) == product_colorings(G, lists)
+                assert find_additive_coloring(G, lists) == first_product_coloring(G, lists)
 
     def test_memo_key_at_every_frontier_size(self):
         # P3 then C5 on 4..8: the frontiers after steps 1..7 have 1, 3, 0,
@@ -177,7 +178,7 @@ class TestFindAdditiveColoring:
         for _ in range(15):
             G = disjoint_union(*rng.choices(pieces, k=rng.randint(2, 4)))
             lists = {v: sorted(rng.sample(range(1, 5), rng.randint(1, 2))) for v in G.vertices()}
-            assert list(_additive_colorings(G, lists)) == product_colorings(G, lists)
+            assert find_additive_coloring(G, lists) == first_product_coloring(G, lists)
 
     def test_cycle_with_a_bad_early_label(self, monkeypatch):
         # s(1) = 7 + 13 = s(2) when labels 1 and 3 are 4 and 16; the closing
@@ -207,8 +208,16 @@ class TestFindAdditiveColoring:
 
 
 class TestNullstellensatzOracle:
-    """The quantitative Nullstellensatz sum over the colorings the search
-    enumerates equals the additive coefficient."""
+    """The quantitative Nullstellensatz sum over every additive coloring
+    from the lists equals the additive coefficient."""
+
+    def test_colorings_match_the_product_scan(self):
+        # the oracle's own enumerator, against the scan of the list product
+        rng = random.Random(103)
+        for _ in range(40):
+            G = random_graph(rng, rng.randint(1, 7), p=0.5)
+            lists = {v: sorted(rng.sample(range(1, 6), rng.randint(1, 3))) for v in G.vertices()}
+            assert list(additive_colorings(G, lists)) == product_colorings(G, lists)
 
     def test_seeded_orientations(self):
         rng = random.Random(2718)
