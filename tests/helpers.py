@@ -5,8 +5,8 @@ naive subset scans, permutation-based isomorphism, Kahn's algorithm. Slow
 but obviously correct, which is the point. `nullstellensatz_coefficient`
 sums over the colorings of `additive_colorings`, a plain depth-first
 search with no memo, so its match with the coefficient shares no code
-with the library's list search. Lookups and oracles that only tests call live here too, not in the
-library.
+with the library's list search. Lookups and oracles that only tests call
+live here too, not in the library.
 """
 
 from __future__ import annotations
