@@ -10,9 +10,11 @@ targets whose choice keeps it. Two plans feed it. The plan of D itself
 (`count_ee_eo_classic`) has one flipping target per arc, its head; the plan
 of W(D) (`count_ee_eo_wd`) walks gamma-path choices per arc of D instead of
 raw arc subsets of W(D). Both counts relabel D in maximum-cardinality
-search order, keep one level of balance states at a time, each packed
-into one integer, take the arcs in frontier order and prune each state on
-the vertices the current arc touches (see `_count`).
+search order, the fewest neighbours breaking ties
+(`Orientation.frontier_relabelled`), keep one level of balance states at
+a time, each packed into one integer, take the arcs in frontier order, by
+the largest and then the smallest vertex each touches, and prune each
+state on the vertices the current arc touches (see `_count`).
 Tests hold both counts to the oracle, and each to the matching coefficient
 route of `polynomials`, which they do not share code with.
 
@@ -243,6 +245,12 @@ def _frontier_count(D: Orientation, plan_of, bound: Optional[int]) -> EulerianCo
     return _count(plan_of(D), bound)
 
 
+def _frontier_key(entry: tuple[int, tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
+    """The largest and then the smallest vertex a plan entry touches."""
+    touched = (entry[0], *entry[1], *entry[2])
+    return max(touched), min(touched)
+
+
 def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
     """Even/odd counts of the balanced selections of a plan.
 
@@ -254,9 +262,11 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
 
     The entries are taken in frontier order, one level at a time
     (frontier-based search; Kawahara et al., IEICE 2017): sorted by the
-    largest vertex they touch, then by their number of targets, so that
-    every vertex's remaining capacity runs out early and pins its balance
-    to zero. A level maps each packed balance key reached so far to its
+    largest vertex they touch, so that every vertex's remaining capacity
+    runs out early and pins its balance to zero, then by the smallest, so
+    that among the entries a new vertex brings in, those that close the
+    oldest vertices on the frontier come first; equal keys keep the plan's
+    order. A level maps each packed balance key reached so far to its
     (even, odd) selection counts. After each entry, a state survives only
     if the vertices the entry touches can still close to zero with the
     entries left: -out <= balance <= in, counting the remaining units out
@@ -288,7 +298,7 @@ def _count(plan: Plan, bound: Optional[int] = None) -> EulerianCount:
     states (default DEFAULT_WD_STATE_BOUND).
     """
     limit = DEFAULT_WD_STATE_BOUND if bound is None else _natural("bound", bound)
-    plan = sorted(plan, key=lambda a: (max(a[0], *a[1], *a[2]), len(a[1]) + len(a[2])))
+    plan = sorted(plan, key=_frontier_key)
     # units out of and into each vertex the plan touches; no other vertex
     # gets an entry, so nothing here is per vertex
     out_total: dict[int, int] = {}

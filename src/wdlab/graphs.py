@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from .errors import BoundExceededError, ParseError
@@ -199,14 +199,17 @@ class Orientation:
 
         The search runs on the underlying graph over the vertices some arc
         touches: each step places the unplaced vertex with the most placed
-        neighbours, the smallest label breaking ties. The k-th vertex placed
-        takes the k-th smallest touched label and every untouched vertex
-        keeps its own; D' holds each arc of D under the new labels. When the
-        order is the identity, D' is D itself. Only touched vertices are
-        read, so an untouched one costs nothing. Computed once per
-        orientation, so the three engines that read D', the Eulerian
-        counter on the plans of D and of W(D) and the coefficient route,
-        share one search.
+        neighbours; among those, the one with the fewest neighbours, which
+        brings the fewest new vertices onto the frontier, and then the
+        smallest label. The k-th vertex placed takes the k-th smallest
+        touched label and every untouched vertex keeps its own; D' holds
+        each arc of D under the new labels, and its neighbourhood and
+        out-degree maps are D's under the same relabelling, not built again
+        from its arcs. When the order is the identity, D' is D itself. Only
+        touched vertices are read, so an untouched one costs nothing.
+        Computed once per orientation, so the three engines that read D',
+        the Eulerian counter on the plans of D and of W(D) and the
+        coefficient route, share one search.
         """
         relabelled = self._frontier_relabelled
         return self if relabelled is None else relabelled
@@ -226,23 +229,39 @@ class Orientation:
         if order == touched:
             return None
         perm = dict(zip(order, touched))
-        return Orientation._of_checked(
+        relabelled = Orientation._of_checked(
             self.n, frozenset([(perm[v], perm[w]) for v, w in self.arcs])
         )
+        # D's neighbourhood and out-degree maps under perm, cached on D' so
+        # that it does not build them again from its arcs; the k-th smallest
+        # touched label is the k-th vertex placed, so the map keeps vertex order
+        vars(relabelled._underlying)["_adj"] = {
+            t: frozenset(map(perm.__getitem__, adj[v])) for v, t in zip(order, touched)
+        }
+        vars(relabelled)["_out_degree_map"] = {
+            perm[v]: d for v, d in self._out_degree_map.items()
+        }
+        return relabelled
 
 
 def _search_order(adj: dict[int, frozenset[int]], vertices: list[int]) -> list[int]:
     """Maximum-cardinality search over `vertices`, given ascending: each step
-    takes the unplaced vertex with the most placed neighbours, the smallest
-    label among them.
+    takes the unplaced vertex with the most placed neighbours, the one with
+    the fewest neighbours among them, then the smallest label.
 
-    heaps[c] is a min-heap of labels that had c placed neighbours when
-    pushed. Counts only grow, so an entry whose vertex has since gained a
-    neighbour, or been placed, is stale and skipped when popped, and `best`
-    only falls past heaps that have run empty.
+    heaps[c] is a min-heap of the vertices that had c placed neighbours when
+    pushed, each entered as one int, its degree above its label, so a heap
+    pops the fewest neighbours first and then the smallest label. Counts
+    only grow, so an entry whose vertex has since gained a neighbour, or
+    been placed, is stale and skipped when popped, and `best` only falls
+    past heaps that have run empty.
     """
+    shift = vertices[-1].bit_length() if vertices else 0
+    label = (1 << shift) - 1
+    entry = {v: len(adj[v]) << shift | v for v in vertices}
     count = dict.fromkeys(vertices, 0)  # placed neighbours of each unplaced vertex
-    heaps = [list(vertices)]  # ascending, so already a heap
+    heaps = [list(entry.values())]
+    heapify(heaps[0])
     order = []
     best = 0
     while best >= 0:
@@ -250,7 +269,7 @@ def _search_order(adj: dict[int, frozenset[int]], vertices: list[int]) -> list[i
         if not heap:
             best -= 1
             continue
-        v = heappop(heap)
+        v = heappop(heap) & label
         if count.get(v) != best:
             continue
         del count[v]
@@ -262,7 +281,7 @@ def _search_order(adj: dict[int, frozenset[int]], vertices: list[int]) -> list[i
                 count[x] = c
                 if c == len(heaps):
                     heaps.append([])
-                heappush(heaps[c], x)
+                heappush(heaps[c], entry[x])
                 if c > best:
                     best = c
     return order

@@ -29,7 +29,7 @@ product. `_coefficient`, behind `additive_coefficient` and
 `classical_coefficient`, wants only the cap monomial, so it also
 eliminates each variable at its frontier (frontier-based search;
 Kawahara et al., IEICE 2017). Both engines take the factors ordered by
-their keys, the largest variable they touch, then their support. Once
+their keys, the largest variable they touch, then the smallest. Once
 x_u has had its last factor, every term whose u-exponent is below cap[u]
 can never reach the cap, and `_coefficient` drops it. The live terms
 then differ only in the variables whose factors are still in progress,
@@ -180,10 +180,12 @@ def _packed(splits: Iterable[Split], field: Field) -> list[Step]:
     """Each split's packed step, in frontier order.
 
     Frontier order sorts the splits by their keys, (largest variable,
-    support), 0 standing for the largest variable of an empty factor;
-    equal keys keep the order given. The step holds a (sign, mask, cap,
-    unit) entry per positive, then per negative variable that has a field:
-    a cap-0 variable can never fire and gets none.
+    smallest variable), so that among the factors a new variable brings
+    in, those that close the oldest variables on the frontier come first;
+    (0, 0) stands for the key of an empty factor, and equal keys keep the
+    order given. The step holds a (sign, mask, cap, unit) entry per
+    positive, then per negative variable that has a field: a cap-0
+    variable can never fire and gets none.
     """
     plus, minus = {}, {}
     for u, f in field.items():
@@ -198,7 +200,8 @@ def _packed(splits: Iterable[Split], field: Field) -> list[Step]:
         for u in negative:
             if u in minus:
                 step.append(minus[u])
-        keyed.append(((max((0, *positive, *negative)), len(positive) + len(negative)), step))
+        touched = (*positive, *negative) or (0,)
+        keyed.append(((max(touched), min(touched)), step))
     return [step for _, step in sorted(keyed, key=itemgetter(0))]
 
 
@@ -264,8 +267,8 @@ def expand_capped(factors: Sequence[LinearFactor], cap: ExponentVector) -> Cappe
     """Multiply the factors, discarding terms that overflow the cap.
 
     Factors are taken in the frontier order of `_coefficient`, by the
-    largest variable they touch, then by support; the product does not
-    depend on the order. Every term under the cap is kept, with no
+    largest variable they touch, then by the smallest; the product does
+    not depend on the order. Every term under the cap is kept, with no
     frontier elimination (`_expand`), so the map can grow with the size
     of the graph; `_coefficient` retires variables instead when only the
     cap term is wanted. Terms are keyed by packed integers. Terms that

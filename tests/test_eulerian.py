@@ -208,13 +208,18 @@ class TestWdCounter:
         # isolated vertices, which get no field, between touched ones
         for pattern in ("out", "in", "mixed"):
             D = interleaved_star(k, pattern)
-            assert count_ee_eo_wd(D).difference == additive_coefficient(D)
+            count = count_ee_eo_wd(D)
+            assert count.difference == additive_coefficient(D)
+            # the public routes take D relabelled, where the first leaf and
+            # the centre swap labels, so the counter also runs on D as
+            # labelled: both layouts stay covered
+            assert _count(_wd_arc_plan(D)) == count
 
     @pytest.mark.parametrize(
         "name, n, peak, ee, eo",
         [
             ("wd:g12:c", 12, 12281, 1055575273933, 1053687526407),
-            ("wd:g13:b", 13, 11941, 348255563618, 345507877187),
+            ("wd:g13:b", 13, 12154, 348255563618, 345507877187),
         ],
     )
     def test_widest_level_pinned(self, name, n, peak, ee, eo):
@@ -231,29 +236,30 @@ class TestWdCounter:
         "name, n, peak, ee, eo",
         [
             ("wd:g12:c", 12, 7152, 1055575273933, 1053687526407),
-            ("wd:g13:b", 13, 12154, 348255563618, 345507877187),
+            ("wd:g13:b", 13, 7517, 348255563618, 345507877187),
         ],
     )
     def test_widest_level_in_search_order_pinned(self, name, n, peak, ee, eo):
-        # the same orientations relabelled in search order: narrower on
-        # wd:g12:c, wider on wd:g13:b; a change to the search order moves it
+        # the same orientations relabelled in search order, narrower on both;
+        # a change to the search order moves it
         D = gnp_orientation(name, n).frontier_relabelled()
         assert _count(_wd_arc_plan(D), bound=peak) == EulerianCount(ee, eo)
         with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
             _count(_wd_arc_plan(D), bound=peak - 1)
 
     def test_answers_when_either_order_fits_the_bound(self):
-        # wd:g12:c fits 7,152 states only in search order, wd:g13:b 12,000
-        # only in label order; the public counter answers both, and when
-        # neither order fits it raises the label order's error
+        # wd:g12:c fits 7,152 states only in search order (12,281 in label
+        # order), wd:g14:a 23,340 only in label order (40,024 in search
+        # order); the public counter answers both, and when neither order
+        # fits it raises the label order's error
         g12 = gnp_orientation("wd:g12:c", 12)
-        g13 = gnp_orientation("wd:g13:b", 13)
+        g14 = gnp_orientation("wd:g14:a", 14)
         assert count_ee_eo_wd(g12, bound=7152) == EulerianCount(1055575273933, 1053687526407)
-        assert count_ee_eo_wd(g13, bound=12000) == EulerianCount(348255563618, 345507877187)
-        with pytest.raises(BoundExceededError, match="reached 7153 balance states"):
+        assert count_ee_eo_wd(g14, bound=23340) == EulerianCount(8455646381602, 8440806944937)
+        with pytest.raises(BoundExceededError, match="reached 7152 balance states"):
             count_ee_eo_wd(g12, bound=7151)
-        with pytest.raises(BoundExceededError, match="reached 11941 balance states"):
-            count_ee_eo_wd(g13, bound=11940)
+        with pytest.raises(BoundExceededError, match="reached 23340 balance states"):
+            count_ee_eo_wd(g14, bound=23339)
 
     def test_plan_splits_as_symmetric_difference(self, d1, d2, d3):
         # the plan reads the two neighbourhoods itself; it must split them as
@@ -271,10 +277,10 @@ class TestWdCounter:
     def test_state_bound(self, d2):
         with pytest.raises(BoundExceededError, match=r"reached 2 balance states.*state bound 1 "):
             count_ee_eo_wd(d2, bound=1)
-        # d2's largest level holds 6 states
-        with pytest.raises(BoundExceededError, match="state bound 5 "):
-            count_ee_eo_wd(d2, bound=5)
-        assert count_ee_eo_wd(d2, bound=6) == EulerianCount(2, 8)
+        # d2's largest level holds 5 states in search order, 6 in label order
+        with pytest.raises(BoundExceededError, match="state bound 4 "):
+            count_ee_eo_wd(d2, bound=4)
+        assert count_ee_eo_wd(d2, bound=5) == EulerianCount(2, 8)
 
 
 class TestEulerianPathStructure:

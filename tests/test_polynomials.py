@@ -29,7 +29,7 @@ from wdlab import (
     find_additive_coloring,
     is_additive_coloring,
 )
-from wdlab.eulerian import DEFAULT_EULERIAN_BOUND
+from wdlab.eulerian import DEFAULT_EULERIAN_BOUND, _classical_plan, _count
 from wdlab.polynomials import _coefficient
 
 
@@ -273,7 +273,12 @@ class TestCapCoefficient:
                 want = expand_capped_tuples(factors, cap).get(tuple(cap), 0)
                 assert _coefficient(splits_of(factors), dict(enumerate(cap, 1))) == want
                 assert packed_coefficient(expand_capped(factors, cap), cap) == want
-            assert classical_coefficient(D) == count_ee_eo_classic(D).difference
+            # the public routes take D relabelled, where the first leaf and
+            # the centre swap labels; the cores above and this counter run
+            # on D as labelled, so both layouts stay covered
+            classic = count_ee_eo_classic(D)
+            assert classical_coefficient(D) == classic.difference
+            assert _count(_classical_plan(D)) == classic
 
     def test_caterpillar40_pinned(self):
         # the limits probe's caterpillar40: the full expansion runs out of memory
