@@ -17,13 +17,7 @@ from .coloring import (
     is_additive_coloring,
 )
 from .errors import BoundExceededError, ParseError
-from .eulerian import (
-    EulerianCount,
-    count_ee_eo_bruteforce,
-    count_ee_eo_classic,
-    count_ee_eo_wd,
-    enumerate_eulerian_spanning,
-)
+from .eulerian import EulerianCount, count_ee_eo_classic, count_ee_eo_wd
 from .graphs import (
     Graph,
     Orientation,
@@ -77,10 +71,8 @@ __all__ = [
     "check_tripartite_hypothesis",
     "classical_coefficient",
     "conjecture_sweep",
-    "count_ee_eo_bruteforce",
     "count_ee_eo_classic",
     "count_ee_eo_wd",
-    "enumerate_eulerian_spanning",
     "expand_capped",
     "find_additive_coloring",
     "gamma_paths_for_arc",

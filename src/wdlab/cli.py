@@ -1,8 +1,10 @@
 """wd-lab: command-line front end.
 
 Exit codes: 0 on success, 1 when a computation's answer is "none" (no
-coloring, no witness, hypothesis false), 2 on bad input, an exceeded
-enumeration bound, or a run that exhausts recursion depth or memory.
+coloring, no witness, hypothesis false), 2 on bad input, on a run
+stopped by a bound (`sweep`'s edge bound, `count`'s state bound or
+`color`'s node bound), or on a run that exhausts recursion depth or
+memory.
 All output is deterministic for a fixed input; big integers appear in
 JSON as decimal strings. Every command that reads a file accepts `--json`
 for machine-readable output; `color` prints JSON either way. The

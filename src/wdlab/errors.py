@@ -10,7 +10,9 @@ class ParseError(ValueError):
 
 
 class BoundExceededError(RuntimeError):
-    """An enumeration would exceed its configured size bound.
+    """A run would exceed its configured size bound: the orientation
+    sweep's edge bound, the frontier counter's state bound or the coloring
+    search's node bound.
 
     `reason` names the bound and the value it stopped at. The message adds
     the knobs that raise it: the function's bound argument and `env`, the

@@ -2,21 +2,20 @@
 
 An arc subset is (spanning) Eulerian when every vertex has equal in- and
 out-degree within the subset; the empty subset always qualifies and counts
-as even. There is one oracle and one frontier counter. The oracle is a
-generic pruned include/exclude enumeration that works on any digraph, up
-to a bound on its arcs. The counter reads a *plan*, one entry per arc of an
-orientation D: a tail, the targets whose choice flips the parity, and the
-targets whose choice keeps it. Two plans feed it. The plan of D itself
-(`count_ee_eo_classic`) has one flipping target per arc, its head; the plan
-of W(D) (`count_ee_eo_wd`) walks gamma-path choices per arc of D instead of
-raw arc subsets of W(D). Both counts relabel D in maximum-cardinality
-search order, the fewest neighbours breaking ties
-(`Orientation.frontier_relabelled`), keep one level of balance states at
-a time, each packed into one integer, take the arcs in frontier order, by
-the largest and then the smallest vertex each touches, and prune each
-state on the vertices the current arc touches (see `_count`).
-Tests hold both counts to the oracle, and each to the matching coefficient
-route of `polynomials`, which they do not share code with.
+as even. This module holds one frontier counter, which reads a *plan*,
+one entry per arc of an orientation D: a tail, the targets whose choice
+flips the parity, and the targets whose choice keeps it. Two plans feed
+it. The plan of D itself (`count_ee_eo_classic`) has one flipping target
+per arc, its head; the plan of W(D) (`count_ee_eo_wd`) walks gamma-path
+choices per arc of D instead of raw arc subsets of W(D). Both counts
+relabel D in maximum-cardinality search order, the fewest neighbours
+breaking ties (`Orientation.frontier_relabelled`), keep one level of
+balance states at a time, each packed into one integer, take the arcs in
+frontier order, by the largest and then the smallest vertex each touches,
+and prune each state on the vertices the current arc touches (see
+`_count`). Tests hold both counts to a brute-force oracle of their own, a recursive
+walk over arc subsets, and each to the matching coefficient route of
+`polynomials`; the counter shares code with neither.
 
 All counts are exact Python integers; nothing here can overflow.
 """
@@ -24,17 +23,14 @@ All counts are exact Python integers; nothing here can overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Optional
+from typing import Optional
 
 from .errors import BoundExceededError
 from .graphs import Orientation, _natural
 
-#: Largest arc count for which subset enumeration is allowed by default.
-DEFAULT_EULERIAN_BOUND = 24
 #: Most balance states one level of the frontier counter may hold by default.
 DEFAULT_WD_STATE_BOUND = 1_200_000
 
-Arc = tuple[Hashable, Hashable]
 #: Per arc of D: its tail, the targets that flip the parity, the others.
 Plan = list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
@@ -55,130 +51,12 @@ class EulerianCount:
         return self.ee + self.eo
 
 
-def _arc_list(H) -> list[Arc]:
-    """Sorted arc list of an Orientation, WDigraph, or raw arc iterable."""
-    raw = list(H.arcs if hasattr(H, "arcs") else H)
-    if len(set(raw)) != len(raw):
-        raise ValueError("duplicate arcs in digraph")
-    for v, w in raw:
-        if v == w:
-            raise ValueError(f"self-loop at {v}")
-    return sorted(raw, key=lambda a: (str(a[0]), str(a[1])))
-
-
-def _check_bound(m: int, bound: Optional[int]) -> None:
-    limit = DEFAULT_EULERIAN_BOUND if bound is None else _natural("bound", bound)
-    if m > limit:
-        raise BoundExceededError(f"digraph has {m} arcs, above the enumeration bound {limit}")
-
-
-def enumerate_eulerian_spanning(H, bound: Optional[int] = None) -> Iterator[tuple[Arc, ...]]:
-    """Yield every balanced arc subset, the empty subset first.
-
-    Order is deterministic: depth-first over the sorted arc list, skipping
-    each arc before taking it. Subsets need not be connected. Pruning uses
-    per-vertex remaining in/out capacity, so only prefixes that can still
-    balance are explored; the yielded set is exactly the balanced subsets.
-    The walk is one loop over an explicit stack of choices, so its depth
-    is not limited by the interpreter's recursion limit.
-    """
-    arcs = _arc_list(H)
-    _check_bound(len(arcs), bound)
-    return _balanced_subsets(arcs)
-
-
-def _balanced_subsets(arcs: list[Arc]) -> Iterator[tuple[Arc, ...]]:
-    """The walk of `enumerate_eulerian_spanning` over a checked arc list.
-
-    Vertex z is feasible while -rem_out(z) <= bal(z) <= rem_in(z), counting
-    the arcs not yet decided. Every vertex is feasible at every node the
-    walk enters, and deciding an arc (v, w) moves only one end of one
-    bound at v and at w. So skipping it needs only bal(v) >= -rem_out(v)
-    and bal(w) <= rem_in(w), and taking it only bal(v) <= rem_in(v) and
-    bal(w) >= -rem_out(w), each read after the move.
-    """
-    m = len(arcs)
-    index: dict[Hashable, int] = {}
-    ends = [(index.setdefault(v, len(index)), index.setdefault(w, len(index))) for v, w in arcs]
-    rem_out = [0] * len(index)
-    rem_in = [0] * len(index)
-    for v, w in ends:
-        rem_out[v] += 1
-        rem_in[w] += 1
-    bal = [0] * len(index)
-    taken: list[bool] = []  # the choice made at each decided arc
-    chosen: list[Arc] = []
-    i = 0
-    while True:
-        # descend, skipping where the skip is feasible and taking otherwise
-        while i < m:
-            v, w = ends[i]
-            rem_out[v] -= 1
-            rem_in[w] -= 1
-            if bal[v] >= -rem_out[v] and bal[w] <= rem_in[w]:
-                taken.append(False)
-            else:
-                bal[v] += 1
-                bal[w] -= 1
-                if bal[v] <= rem_in[v] and bal[w] >= -rem_out[w]:
-                    taken.append(True)
-                    chosen.append(arcs[i])
-                else:
-                    bal[v] -= 1
-                    bal[w] += 1
-                    rem_out[v] += 1
-                    rem_in[w] += 1
-                    break
-            i += 1
-        else:
-            # feasibility at the final incident arc of each vertex forces
-            # every balance to zero here
-            yield tuple(chosen)
-        # back up to the deepest skipped arc that can still be taken
-        while i:
-            i -= 1
-            v, w = ends[i]
-            if taken.pop():
-                chosen.pop()
-                bal[v] -= 1
-                bal[w] += 1
-            else:
-                bal[v] += 1
-                bal[w] -= 1
-                if bal[v] <= rem_in[v] and bal[w] >= -rem_out[w]:
-                    taken.append(True)
-                    chosen.append(arcs[i])
-                    i += 1
-                    break
-                bal[v] -= 1
-                bal[w] += 1
-            rem_out[v] += 1
-            rem_in[w] += 1
-        else:
-            return
-
-
-def count_ee_eo_bruteforce(H, bound: Optional[int] = None) -> EulerianCount:
-    """Tally the enumeration stream by subset parity."""
-    ee = eo = 0
-    for subset in enumerate_eulerian_spanning(H, bound):
-        if len(subset) % 2:
-            eo += 1
-        else:
-            ee += 1
-    return EulerianCount(ee, eo)
-
-
-# ---------------------------------------------------------------------------
-# Frontier counter, on the plan of D or of W(D)
-# ---------------------------------------------------------------------------
-
 def count_ee_eo_classic(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
     """Even/odd Eulerian counts of the orientation itself.
 
     The frontier counter on the plan of D (`_classical_plan`), run as in
-    `count_ee_eo_wd`: `bound` is its state bound, and past 24 arcs it still
-    answers where the frontier stays narrow. ee - eo is the coefficient of
+    `count_ee_eo_wd`: `bound` is its state bound, and it answers on any
+    number of arcs where the frontier stays narrow. ee - eo is the coefficient of
     the classical graph polynomial (Alon and Tarsi, Combinatorica 1992).
     """
     return _frontier_count(D, _classical_plan, bound)

@@ -51,9 +51,11 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
+        _natural("vertex count", self.n)
         for u, v in self.edges:
+            # a float or a bool would pass the range check below as a number
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (u < v):
@@ -123,9 +125,10 @@ class Orientation:
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
+        _natural("vertex count", self.n)
         for v, w in self.arcs:
+            if type(v) is not int or type(w) is not int:
+                raise ValueError(f"arc ({v!r}, {w!r}) has a non-integer endpoint")
             if v == w:
                 raise ValueError(f"self-loop at vertex {v}")
             if not (1 <= v <= self.n and 1 <= w <= self.n):

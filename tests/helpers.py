@@ -5,8 +5,12 @@ naive subset scans, permutation-based isomorphism, Kahn's algorithm. Slow
 but obviously correct, which is the point. `nullstellensatz_coefficient`
 sums over the colorings of `additive_colorings`, a plain depth-first
 search with no memo, so its match with the coefficient shares no code
-with the library's list search. Lookups and oracles that only tests call
-live here too, not in the library.
+with the library's list search. The brute-force Eulerian oracle,
+`enumerate_eulerian_recursive` and its parity tally
+`count_ee_eo_bruteforce`, is a recursive subset walk that imports nothing
+from `wdlab.eulerian`, so it shares no code with the frontier counter it
+checks. Lookups and oracles that only tests call live here too, not in
+the library.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from wdlab import (
+    EulerianCount,
     GammaPath,
     Graph,
     LinearFactor,
@@ -29,10 +34,26 @@ from wdlab import (
     additive_coefficient,
     gamma_paths_for_arc,
 )
-from wdlab.eulerian import _arc_list
 from wdlab.graphs import orientation_count, orientation_from_index, two_color
 from wdlab.polynomials import _additive_splits, _classical_splits
 from wdlab.wd import WArc
+
+
+#: Arc cap of the seeded random orientations that tests hand the
+#: brute-force oracle directly; the oracle has no bound of its own.
+ORACLE_ARC_CAP = 24
+
+
+def arc_list(H) -> list[tuple]:
+    """The arcs of an Orientation, WDigraph or raw arc iterable, sorted by
+    the text of their endpoints; duplicate arcs and self-loops raise."""
+    raw = list(H.arcs if hasattr(H, "arcs") else H)
+    if len(set(raw)) != len(raw):
+        raise ValueError("duplicate arcs in digraph")
+    for v, w in raw:
+        if v == w:
+            raise ValueError(f"self-loop at {v}")
+    return sorted(raw, key=lambda a: (str(a[0]), str(a[1])))
 
 
 def is_balanced(arcs) -> bool:
@@ -276,30 +297,38 @@ def gnp_orientation(name: str, n: int) -> Orientation:
 
 
 def enumerate_eulerian_recursive(H) -> Iterator[tuple]:
-    """Balanced arc subsets by the plain recursive include/exclude walk,
-    skip before take, pruned on remaining capacity: the order the library's
-    explicit loop must reproduce."""
-    arcs = _arc_list(H)
-    rem_out = Counter(a[0] for a in arcs)
-    rem_in = Counter(a[1] for a in arcs)
-    bal: Counter = Counter()
-    chosen: list = []
+    """Every balanced arc subset of any digraph, the empty subset first:
+    the test suite's brute-force Eulerian oracle.
 
-    def feasible(z) -> bool:
-        return bal[z] <= rem_in[z] and -bal[z] <= rem_out[z]
+    The plain recursive include/exclude walk over `arc_list(H)`, skipping
+    each arc before taking it. A branch is cut when an end of the arc just
+    decided can no longer balance: -rem_out(z) <= bal(z) <= rem_in(z),
+    counting the arcs not yet decided. Subsets need not be connected, and
+    the recursion is one level per arc, so the inputs stay small.
+    """
+    arcs = arc_list(H)
+    index: dict = {}
+    ends = [(index.setdefault(v, len(index)), index.setdefault(w, len(index))) for v, w in arcs]
+    rem_out = [0] * len(index)
+    rem_in = [0] * len(index)
+    for v, w in ends:
+        rem_out[v] += 1
+        rem_in[w] += 1
+    bal = [0] * len(index)
+    chosen: list = []
 
     def rec(i: int) -> Iterator[tuple]:
         if i == len(arcs):
             yield tuple(chosen)
             return
-        v, w = arcs[i]
+        v, w = ends[i]
         rem_out[v] -= 1
         rem_in[w] -= 1
-        if feasible(v) and feasible(w):
+        if -rem_out[v] <= bal[v] <= rem_in[v] and -rem_out[w] <= bal[w] <= rem_in[w]:
             yield from rec(i + 1)
         bal[v] += 1
         bal[w] -= 1
-        if feasible(v) and feasible(w):
+        if -rem_out[v] <= bal[v] <= rem_in[v] and -rem_out[w] <= bal[w] <= rem_in[w]:
             chosen.append(arcs[i])
             yield from rec(i + 1)
             chosen.pop()
@@ -309,6 +338,17 @@ def enumerate_eulerian_recursive(H) -> Iterator[tuple]:
         rem_in[w] += 1
 
     return rec(0)
+
+
+def count_ee_eo_bruteforce(H) -> EulerianCount:
+    """The oracle's subsets tallied by parity."""
+    ee = eo = 0
+    for subset in enumerate_eulerian_recursive(H):
+        if len(subset) % 2:
+            eo += 1
+        else:
+            ee += 1
+    return EulerianCount(ee, eo)
 
 
 def interleaved_star(k: int, pattern: str) -> Orientation:
@@ -490,10 +530,11 @@ def count_orientations_same_outdeg_direct(H) -> int:
 
     Independent of the Eulerian route: backtracks over the underlying
     undirected edges, pruning when a vertex's out-degree overshoots its
-    target or can no longer reach it. Serves as the oracle for
-    `count_ee_eo_bruteforce(H).total` (see `TestOrientationCounts`).
+    target or can no longer reach it. Serves as the check of
+    `count_ee_eo_bruteforce(H).total`, the Eulerian oracle's subset count
+    (see `TestOrientationCounts`).
     """
-    arcs = _arc_list(H)
+    arcs = arc_list(H)
     arc_set = set(arcs)
     for v, w in arcs:
         if (w, v) in arc_set:

@@ -16,8 +16,10 @@ import pytest
 from helpers import (
     all_gamma_paths,
     connected_graphs_up_to,
+    count_ee_eo_bruteforce,
     count_orientations_same_outdeg_direct,
     decompose_into_gamma_paths,
+    enumerate_eulerian_recursive,
     enumerate_orientations,
     is_balanced,
     random_lists,
@@ -32,10 +34,8 @@ from wdlab import (
     check_simplicial_sink_hypothesis,
     classical_coefficient,
     conjecture_sweep,
-    count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    enumerate_eulerian_spanning,
     find_additive_coloring,
     gamma_paths_for_arc,
     gen_complete,
@@ -74,10 +74,10 @@ def test_criterion_01_paper_value_regression(named):
 def test_criterion_02_central_identity(named, small_corpus):
     start = time.monotonic()
     for name, D in named.items():
-        oracle = count_ee_eo_bruteforce(build_wd(D), bound=64)
+        oracle = count_ee_eo_bruteforce(build_wd(D))
         assert additive_coefficient(D) == oracle.difference == PAPER_COEFFICIENTS[name]
     for D in small_corpus:
-        oracle = count_ee_eo_bruteforce(build_wd(D), bound=64)
+        oracle = count_ee_eo_bruteforce(build_wd(D))
         assert additive_coefficient(D) == oracle.difference
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
@@ -103,7 +103,7 @@ def test_criterion_03_classical_identity():
 def test_criterion_04_eulerian_path_structure(named):
     for name, D in named.items():
         wd = build_wd(D)
-        brute_sets = {frozenset(s) for s in enumerate_eulerian_spanning(wd, bound=40)}
+        brute_sets = {frozenset(s) for s in enumerate_eulerian_recursive(wd)}
         # forward: every Eulerian subset splits into edge-disjoint paths
         # with balanced star traffic
         for subset in brute_sets:

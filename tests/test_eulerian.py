@@ -7,7 +7,10 @@ import time
 import pytest
 
 from helpers import (
+    ORACLE_ARC_CAP,
+    arc_list,
     caterpillar,
+    count_ee_eo_bruteforce,
     count_orientations_same_outdeg_direct,
     decompose_into_gamma_paths,
     enumerate_eulerian_recursive,
@@ -28,14 +31,12 @@ from wdlab import (
     additive_coefficient,
     build_wd,
     classical_coefficient,
-    count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    enumerate_eulerian_spanning,
     gamma_paths_for_arc,
     gen_sun,
 )
-from wdlab.eulerian import DEFAULT_EULERIAN_BOUND, _count, _wd_arc_plan
+from wdlab.eulerian import _count, _wd_arc_plan
 
 THREE_CYCLE = [(1, 2), (2, 3), (3, 1)]
 TWO_TWO_CYCLES = [(1, 2), (2, 1), (3, 4), (4, 3)]
@@ -43,55 +44,42 @@ TWO_TWO_CYCLES = [(1, 2), (2, 1), (3, 4), (4, 3)]
 
 class TestEnumerate:
     def test_three_cycle(self):
-        subsets = list(enumerate_eulerian_spanning(THREE_CYCLE))
+        subsets = list(enumerate_eulerian_recursive(THREE_CYCLE))
         assert subsets[0] == ()
         assert {frozenset(s) for s in subsets} == {frozenset(), frozenset(THREE_CYCLE)}
 
     def test_acyclic_only_empty(self, d1):
-        assert list(enumerate_eulerian_spanning(d1)) == [()]
+        assert list(enumerate_eulerian_recursive(d1)) == [()]
 
     def test_two_disjoint_two_cycles(self):
-        subsets = {frozenset(s) for s in enumerate_eulerian_spanning(TWO_TWO_CYCLES)}
+        subsets = {frozenset(s) for s in enumerate_eulerian_recursive(TWO_TWO_CYCLES)}
         assert len(subsets) == 4
 
     def test_matches_naive_on_random(self):
+        # on orientations and on the same digraphs with 2-cycles, made by
+        # adding the reverse of each arc with probability 0.4
         rng = random.Random(23)
+        reverse = random.Random(71)
+        two_cycles = 0
         for _ in range(30):
             D = random_orientation(rng, n_max=4)
-            got = [frozenset(s) for s in enumerate_eulerian_spanning(D)]
-            ee, eo = naive_ee_eo(D.arcs)
-            assert len(got) == ee + eo
-            assert all(is_balanced(s) for s in got)
-            assert len(set(got)) == len(got)
-
-    def test_bound(self):
-        arcs = [(i, i + 1) for i in range(1, 27)]
-        with pytest.raises(BoundExceededError, match="26 arcs, above the enumeration bound 24"):
-            next(enumerate_eulerian_spanning(arcs))
-        assert list(enumerate_eulerian_spanning(arcs, bound=26)) == [()]
+            arcs = sorted(D.arcs)
+            with_two_cycles = arcs + [(w, v) for v, w in arcs if reverse.random() < 0.4]
+            two_cycles += len(with_two_cycles) > len(arcs)
+            for H in (D, with_two_cycles):
+                got = [frozenset(s) for s in enumerate_eulerian_recursive(H)]
+                ee, eo = naive_ee_eo(arc_list(H))
+                assert len(got) == ee + eo
+                assert all(is_balanced(s) for s in got)
+                assert len(set(got)) == len(got)
+                assert count_ee_eo_bruteforce(H) == EulerianCount(ee, eo)
+        assert two_cycles >= 15
 
     def test_duplicate_arcs_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_eulerian_spanning([(1, 2), (1, 2)]))
-
-    def test_order_matches_recursive_walk(self):
-        # the explicit loop yields what the recursive walk yields, in order,
-        # on digraphs with and without 2-cycles and on small W(D)s
-        rng = random.Random(71)
-        for _ in range(60):
-            D = random_orientation(rng, n_max=6)
-            arcs = sorted(D.arcs)
-            with_two_cycles = arcs + [(w, v) for v, w in arcs if rng.random() < 0.4]
-            for H in (arcs, with_two_cycles, build_wd(D) if len(arcs) <= 6 else arcs):
-                got = list(enumerate_eulerian_spanning(H, bound=64))
-                assert got == list(enumerate_eulerian_recursive(H))
-
-    def test_long_path_and_cycle_need_no_recursion(self):
-        path = [(i, i + 1) for i in range(1, 1200)]
-        assert list(enumerate_eulerian_spanning(path, bound=1199)) == [()]
-        cycle = path + [(1200, 1)]
-        got = list(enumerate_eulerian_spanning(cycle, bound=1200))
-        assert [frozenset(s) for s in got] == [frozenset(), frozenset(cycle)]
+        with pytest.raises(ValueError, match="duplicate arcs"):
+            list(enumerate_eulerian_recursive([(1, 2), (1, 2)]))
+        with pytest.raises(ValueError, match="self-loop at 1"):
+            list(enumerate_eulerian_recursive([(1, 2), (1, 1)]))
 
 
 class TestBruteforceCounts:
@@ -130,16 +118,16 @@ class TestClassic:
         rng = random.Random(109)
         relabelled = 0
         for _ in range(300):
-            D = random_orientation(rng, n_min=2, n_max=10, arc_cap=DEFAULT_EULERIAN_BOUND)
+            D = random_orientation(rng, n_min=2, n_max=10, arc_cap=ORACLE_ARC_CAP)
             relabelled += D.frontier_relabelled() is not D
             assert count_ee_eo_classic(D) == count_ee_eo_bruteforce(D)
         assert relabelled >= 100
 
     def test_matches_classical_coefficient_past_the_enumeration_bound(self):
-        # past 24 arcs the brute force refuses, and the coefficient route
-        # is the independent check
+        # past the 24 arcs of the oracle's draws the brute force is too slow
+        # to run, and the coefficient route is the independent check
         corpus = [gnp_orientation(f"x:g{n}:{k}", n) for n in (14, 16, 18, 20) for k in "ab"]
-        assert all(len(D.arcs) > DEFAULT_EULERIAN_BOUND for D in corpus)
+        assert all(len(D.arcs) > ORACLE_ARC_CAP for D in corpus)
         for D in corpus:
             assert count_ee_eo_classic(D).difference == classical_coefficient(D)
         g24 = gnp_orientation("x:g24", 24)
@@ -162,7 +150,7 @@ class TestWdCounter:
         digraphs = [d1, d2, d3] + [random_orientation(rng) for _ in range(40)]
         for D in digraphs:
             wd = build_wd(D)
-            assert count_ee_eo_wd(D) == count_ee_eo_bruteforce(wd, bound=64)
+            assert count_ee_eo_wd(D) == count_ee_eo_bruteforce(wd)
 
     def test_ee_at_least_one_and_acyclic_eo_zero(self):
         rng = random.Random(41)
@@ -287,7 +275,7 @@ class TestEulerianPathStructure:
     def test_forward_every_eulerian_subset_decomposes(self, d1, d2, d3):
         for D in (d1, d2, d3):
             wd = build_wd(D)
-            for subset in enumerate_eulerian_spanning(wd, bound=40):
+            for subset in enumerate_eulerian_recursive(wd):
                 paths = decompose_into_gamma_paths(wd, frozenset(subset))
                 assert paths is not None
                 assert sum(p.length for p in paths) == len(subset)
@@ -315,7 +303,7 @@ class TestEulerianPathStructure:
                 assert is_balanced(edges)
                 eulerian_sets.add(edges)
             # both enumerators agree exactly
-            brute = {frozenset(s) for s in enumerate_eulerian_spanning(wd, bound=40)}
+            brute = {frozenset(s) for s in enumerate_eulerian_recursive(wd)}
             assert eulerian_sets == brute
             assert len(eulerian_sets) == count_ee_eo_wd(D).total
 
@@ -329,7 +317,7 @@ class TestOrientationCounts:
         assert count_ee_eo_bruteforce(build_wd(d1)).total == 4
 
     def test_wd_d2_value(self, d2):
-        assert count_ee_eo_bruteforce(build_wd(d2), bound=25).total == 10
+        assert count_ee_eo_bruteforce(build_wd(d2)).total == 10
 
     def test_acyclic_is_one(self, d1):
         assert count_ee_eo_bruteforce(d1).total == 1
@@ -365,7 +353,7 @@ class TestOrientationCounts:
 def test_star_balance_is_out_degree(d1):
     # spanning Eulerian subdigraphs never use more than d+(v) paths out of v*
     wd = build_wd(d1)
-    for subset in enumerate_eulerian_spanning(wd, bound=40):
+    for subset in enumerate_eulerian_recursive(wd):
         out = {v: 0 for v in d1.vertices()}
         for a, b in subset:
             if isinstance(a, Star):

@@ -25,10 +25,8 @@ from wdlab import (
     additive_coefficient,
     classical_coefficient,
     conjecture_sweep,
-    count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    enumerate_eulerian_spanning,
     find_additive_coloring,
     gen_complete,
     gen_complete_bipartite,
@@ -486,7 +484,8 @@ class TestEnumerateOrientations:
 K3 = gen_complete(3)
 K3_ARC = Orientation(3, frozenset([(1, 2), (2, 3), (1, 3)]))
 K3_LISTS = {v: [1, 2, 3] for v in K3.vertices()}
-#: Every bound and index argument (the sweep's limit has its own tests):
+#: Every bound, index and vertex count argument (the sweep's limit has
+#: its own tests):
 #: its name, a call on a value and a value that call takes.
 COUNT_ARGUMENTS = {
     "conjecture_sweep bound": ("bound", lambda x: conjecture_sweep(K3, x), 3),
@@ -495,11 +494,9 @@ COUNT_ARGUMENTS = {
     "find_additive_coloring bound": (
         "bound", lambda x: find_additive_coloring(K3, K3_LISTS, x), 100
     ),
-    "enumerate_eulerian_spanning bound": (
-        "bound", lambda x: list(enumerate_eulerian_spanning(K3_ARC, x)), 3
-    ),
-    "count_ee_eo_bruteforce bound": ("bound", lambda x: count_ee_eo_bruteforce(K3_ARC, x), 3),
     "orientation_from_index index": ("index", lambda x: orientation_from_index(K3, x), 7),
+    "Graph n": ("vertex count", lambda x: Graph(x, K3.edges), 3),
+    "Orientation n": ("vertex count", lambda x: Orientation(x, K3_ARC.arcs), 3),
 }
 
 
@@ -514,3 +511,13 @@ def test_count_arguments_are_checked_once(case):
     with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
         call(-1)
     call(valid)
+
+
+@pytest.mark.parametrize("endpoint", [1.5, 2.0, "2", True, None], ids=repr)
+def test_constructors_reject_non_integer_endpoints(endpoint):
+    # a float id would pass the range check and sweep or count as a vertex
+    # that no other code can name; a bool would pass as 0 or 1
+    with pytest.raises(ValueError, match=r"^edge \(.*\) has a non-integer endpoint$"):
+        Graph(3, frozenset({(endpoint, 3)}))
+    with pytest.raises(ValueError, match=r"^arc \(.*\) has a non-integer endpoint$"):
+        Orientation(3, frozenset({(1, 2), (3, endpoint)}))

@@ -39,10 +39,8 @@ EXPORTS = {
     "check_tripartite_hypothesis",
     "classical_coefficient",
     "conjecture_sweep",
-    "count_ee_eo_bruteforce",
     "count_ee_eo_classic",
     "count_ee_eo_wd",
-    "enumerate_eulerian_spanning",
     "expand_capped",
     "find_additive_coloring",
     "gamma_paths_for_arc",
@@ -86,9 +84,20 @@ def test_exports_sorted_unique_and_pinned():
 
 
 def test_eulerian_route_shares_no_code_with_the_coefficient_route():
-    # coefficient = ee - eo is a check only while the two routes are apart
+    # coefficient = ee - eo is a check only while the two routes are apart,
+    # and ee and eo are checked only while the tests' brute-force oracle
+    # shares no code with the frontier counter: it takes EulerianCount from
+    # wdlab and nothing from wdlab.eulerian
     assert package_imports("eulerian") <= {"errors", "graphs"}
     assert package_imports("polynomials") <= {"graphs"}
+    imported = set()  # dotted names, "wdlab.Graph" for `from wdlab import Graph`
+    for node in ast.walk(ast.parse((ROOT / "tests" / "helpers.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "wdlab.EulerianCount" in imported
+    assert not [name for name in imported if name.startswith("wdlab.eulerian")]
 
 
 def test_import_scan_sees_package_imports():

@@ -7,9 +7,11 @@ import time
 import pytest
 
 from helpers import (
+    ORACLE_ARC_CAP,
     additive_factors,
     caterpillar,
     classical_factors,
+    count_ee_eo_bruteforce,
     evaluate_additive,
     expand_capped_tuples,
     interleaved_star,
@@ -22,14 +24,13 @@ from wdlab import (
     additive_coefficient,
     build_wd,
     classical_coefficient,
-    count_ee_eo_bruteforce,
     count_ee_eo_classic,
     count_ee_eo_wd,
     expand_capped,
     find_additive_coloring,
     is_additive_coloring,
 )
-from wdlab.eulerian import DEFAULT_EULERIAN_BOUND, _classical_plan, _count
+from wdlab.eulerian import _classical_plan, _count
 from wdlab.polynomials import _coefficient
 
 
@@ -352,7 +353,7 @@ class TestCoefficients:
         rng = random.Random(59)
         for _ in range(40):
             D = random_orientation(rng)
-            brute = count_ee_eo_bruteforce(build_wd(D), bound=64)
+            brute = count_ee_eo_bruteforce(build_wd(D))
             assert additive_coefficient(D) == brute.difference
 
     def test_classical_identity_random(self):
@@ -363,11 +364,11 @@ class TestCoefficients:
 
     def test_classical_matches_bruteforce_over_its_range(self):
         # the route runs on D relabelled in search order, the brute force on
-        # D itself, up to the brute force's default arc bound
+        # D itself, on draws of up to the oracle's 24 arcs
         rng = random.Random(107)
         relabelled = 0
         for _ in range(40):
-            D = random_orientation(rng, n_min=4, n_max=12, arc_cap=DEFAULT_EULERIAN_BOUND)
+            D = random_orientation(rng, n_min=4, n_max=12, arc_cap=ORACLE_ARC_CAP)
             relabelled += D.frontier_relabelled() is not D
             assert classical_coefficient(D) == count_ee_eo_bruteforce(D).difference
         assert relabelled >= 20
