@@ -39,13 +39,11 @@ from .polynomials import (
     expand_capped,
 )
 from .wd import (
-    GammaPath,
     SectorX,
     SectorY,
     Star,
     WDigraph,
     build_wd,
-    gamma_paths_for_arc,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "BoundExceededError",
     "CappedPolynomial",
     "EulerianCount",
-    "GammaPath",
     "Graph",
     "LinearFactor",
     "Orientation",
@@ -75,7 +72,6 @@ __all__ = [
     "count_ee_eo_wd",
     "expand_capped",
     "find_additive_coloring",
-    "gamma_paths_for_arc",
     "gen_complete",
     "gen_complete_bipartite",
     "gen_cycle",

@@ -70,9 +70,13 @@ def _validated_lists(G: Graph, lists: Mapping[int, Sequence[int]]) -> list[list[
         raise ValueError("lists must cover exactly the vertices 1..n")
     out = []
     for v in G.vertices():
-        # type check first: set() and sorted() fail on unhashable or mixed values
-        if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in lists[v]):
-            raise ValueError(f"list for vertex {v} must hold positive integers")
+        # type check first: set() and sorted() fail on unhashable or mixed
+        # values, and the scan itself on a value that is no collection (5, None)
+        try:
+            if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in lists[v]):
+                raise TypeError
+        except TypeError:
+            raise ValueError(f"list for vertex {v} must hold positive integers") from None
         values = sorted(set(lists[v]))
         if not values:
             raise ValueError(f"empty list for vertex {v}")

@@ -8,12 +8,15 @@ flips the parity, and the targets whose choice keeps it. Two plans feed
 it. The plan of D itself (`count_ee_eo_classic`) has one flipping target
 per arc, its head; the plan of W(D) (`count_ee_eo_wd`) walks gamma-path
 choices per arc of D instead of raw arc subsets of W(D). Both counts
-relabel D in maximum-cardinality search order, the fewest neighbours
-breaking ties (`Orientation.frontier_relabelled`), keep one level of
-balance states at a time, each packed into one integer, take the arcs in
-frontier order, by the largest and then the smallest vertex each touches,
-and prune each state on the vertices the current arc touches (see
-`_count`). Tests hold both counts to a brute-force oracle of their own, a recursive
+run once, on D relabelled in maximum-cardinality search order, the
+fewest neighbours breaking ties (`Orientation.frontier_relabelled`):
+the counter orders the arcs by vertex label, so the labels, not the
+graph, would set the frontier width, and the relabelling changes how
+fast it answers, never the answer. The counter keeps one level of
+balance states at a time, each packed into one integer, takes the arcs
+in frontier order, by the largest and then the smallest vertex each
+touches, and prunes each state on the vertices the current arc touches
+(see `_count`). Tests hold both counts to a brute-force oracle of their own, a recursive
 walk over arc subsets, and each to the matching coefficient route of
 `polynomials`; the counter shares code with neither.
 
@@ -54,12 +57,12 @@ class EulerianCount:
 def count_ee_eo_classic(D: Orientation, bound: Optional[int] = None) -> EulerianCount:
     """Even/odd Eulerian counts of the orientation itself.
 
-    The frontier counter on the plan of D (`_classical_plan`), run as in
-    `count_ee_eo_wd`: `bound` is its state bound, and it answers on any
+    The frontier counter on the plan of D (`_classical_plan`), run once
+    as in `count_ee_eo_wd`: `bound` is its state bound, and it answers on any
     number of arcs where the frontier stays narrow. ee - eo is the coefficient of
     the classical graph polynomial (Alon and Tarsi, Combinatorica 1992).
     """
-    return _frontier_count(D, _classical_plan, bound)
+    return _count(_classical_plan(D.frontier_relabelled()), bound)
 
 
 def _classical_plan(D: Orientation) -> Plan:
@@ -93,34 +96,13 @@ def count_ee_eo_wd(D: Orientation, bound: Optional[int] = None) -> EulerianCount
     exact, and star balance is the only Eulerian constraint left. The
     balance of star z is the number of chosen paths leaving z* minus those
     entering it, and a selection is Eulerian when every balance is zero.
-    The frontier counter runs on the plan of these choices (`_wd_arc_plan`).
+    The frontier counter runs once, on the plan of these choices
+    (`_wd_arc_plan`) for D relabelled in search order.
 
     Raises BoundExceededError once one level holds more than `bound`
-    states (default DEFAULT_WD_STATE_BOUND) in both orders (see
-    `_frontier_count`).
+    states (default DEFAULT_WD_STATE_BOUND) in search order.
     """
-    return _frontier_count(D, _wd_arc_plan, bound)
-
-
-def _frontier_count(D: Orientation, plan_of, bound: Optional[int]) -> EulerianCount:
-    """`_count` on the plan of D relabelled, falling back to D as labelled.
-
-    The counter orders the arcs by vertex label, so the labels, not the
-    graph, would set the frontier width: it runs on D relabelled in
-    maximum-cardinality search order (`Orientation.frontier_relabelled`),
-    which changes how fast it answers, never the answer. The search order
-    narrows most frontiers but not all, so when D' stops at the state
-    bound the counter runs again on D as labelled: every input that
-    answers in label order answers, and when neither order fits, the
-    error is the one of the label order.
-    """
-    relabelled = D.frontier_relabelled()
-    if relabelled is not D:
-        try:
-            return _count(plan_of(relabelled), bound)
-        except BoundExceededError:
-            pass  # rerun below, once the failed run's levels are freed
-    return _count(plan_of(D), bound)
+    return _count(_wd_arc_plan(D.frontier_relabelled()), bound)
 
 
 def _frontier_key(entry: tuple[int, tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:

@@ -470,7 +470,7 @@ def gen_sun(k: int) -> Orientation:
     directed into the ear. Every ear has out-degree 0 and is simplicial;
     every cycle vertex has out-degree 3.
     """
-    if k < 2:
+    if _natural("sun parameter", k) < 2:
         raise ValueError(f"sun parameter must be at least 2, got {k}")
     m = 2 * k
     arcs = set()
@@ -484,19 +484,19 @@ def gen_sun(k: int) -> Orientation:
 
 
 def gen_cycle(n: int) -> Graph:
-    if n < 3:
+    if _natural("cycle length", n) < 3:
         raise ValueError(f"cycle length must be at least 3, got {n}")
     return Graph.of(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def gen_complete(n: int) -> Graph:
-    if n < 1:
+    if _natural("vertex count", n) < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
     return Graph.of(n, itertools.combinations(range(1, n + 1), 2))
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
+    if min(_natural("side a", a), _natural("side b", b)) < 1:
         raise ValueError(f"both sides must be non-empty, got {a}, {b}")
     return Graph.of(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 

@@ -1,4 +1,4 @@
-"""Construction of the sector digraph W(D) and its gamma-paths.
+"""Construction of the sector digraph W(D), the union of its gamma-paths.
 
 Given an orientation D, each arc (v, w) contributes a private *sector*: a
 fan rooted at the sector copy of v whose leaves are copies of the vertices
@@ -13,14 +13,13 @@ target is a neighbor of w but not of v or v itself (detour). The spanning
 Eulerian subdigraphs of W(D) are exactly the unions of edge-disjoint
 gamma-paths whose star in/out traffic balances, which is what makes the
 structured counters in `eulerian` possible. The same fact defines the
-digraph here. `gamma_paths_for_arc` spells out one sector, as one
-`GammaPath` per target. `build_wd` writes the same shape for every arc in
-one flat pass over the arcs of D: each arc adds its sector's entry arc
-and, per target, the rest of that target's path, straight into one arc
-list, with each vertex collected as it is made and no `GammaPath` at all,
-so the arcs of W(D) are the union of every gamma-path's edges by
-construction. The test that holds `build_wd` equal to the union of every
-arc's gamma-paths ties the two spellings together. No sector is stored;
+digraph here: `build_wd` writes every arc's sector in one flat pass over
+the arcs of D, each arc adding its sector's entry arc and, per target,
+the rest of that target's path, straight into one arc list, with each
+vertex collected as it is made and no path object at all, so the arcs of
+W(D) are the union of every gamma-path's edges by construction. The
+tests spell the gamma-paths out one by one, on their own, and hold
+`build_wd` equal to the union of every arc's paths. No sector is stored;
 a sector is its arc's gamma-paths without their star arcs. `wd_size`
 counts the vertices and arcs of W(D) from the size of each sector,
 without building any of it.
@@ -117,68 +116,19 @@ class WDigraph:
     arcs: frozenset[WArc]
 
 
-@dataclass(frozen=True)
-class GammaPath:
-    """The unique star-to-star path through one sector for one target."""
-
-    arc: tuple[int, int]
-    target: int
-    edges: tuple[WArc, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def is_odd(self) -> bool:
-        """True for the length-3 (direct) case."""
-        return len(self.edges) % 2 == 1
-
-
-def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
-    """All gamma-paths of one sector, targets ascending.
-
-    Every path enters at the root copy v^{vw} from v*, steps to the copy of
-    its target x (through y^{vw}_x for a detour target) and exits to x*.
-    The sector's own source v is never a target, though its copy is the
-    root. The targets are N(v) symm-diff N(w) without v, read off the two
-    neighbourhoods once: x in N(v) \\ N(w) is direct, x in N(w) \\ N[v] a
-    detour. Raises ValueError when `arc` is not an arc of D.
-    """
-    v, w = arc
-    if arc not in D.arcs:
-        raise ValueError(f"({v}, {w}) is not an arc")
-    adj = D._adjacency()
-    nv, nw = adj[v], adj[w]
-    root = SectorX(arc, v)
-    entry = (Star(v), root)
-    paths = []
-    for x in sorted(nv ^ nw):
-        if x == v:
-            continue
-        copy = SectorX(arc, x)
-        if x in nv:
-            edges = (entry, (root, copy), (copy, Star(x)))
-        else:
-            y = SectorY(arc, x)
-            edges = (entry, (root, y), (y, copy), (copy, Star(x)))
-        paths.append(GammaPath(arc, x, edges))
-    return paths
-
-
 def build_wd(D: Orientation) -> WDigraph:
     """Assemble the full derived digraph in one flat pass over the arcs of D.
 
     The arcs are the union of every gamma-path's edges. Each arc (v, w) of
     D adds the entry arc v* -> v^{vw}; then v^{vw} -> x^{vw} -> x* for each
     direct target x in N(v) \\ N(w), and v^{vw} -> y^{vw}_x -> x^{vw} -> x*
-    for each detour target x in N(w) \\ N[v]. That is the sector
-    `gamma_paths_for_arc` spells out, written straight into one arc list
-    with every star made once, every other vertex collected as it is made
-    and no `GammaPath`; the test against the union of `gamma_paths_for_arc`
-    holds the two spellings equal. The arcs come from D, so none is
-    checked. Sectors of distinct arcs share no vertices, so the list holds
-    no duplicates and all structure shared between arcs goes through stars.
+    for each detour target x in N(w) \\ N[v]. Each sector is written
+    straight into one arc list with every star made once, every other
+    vertex collected as it is made and no path object; a test holds the
+    result equal to the union of the gamma-paths spelled out one by one.
+    The arcs come from D, so none is checked. Sectors of distinct arcs
+    share no vertices, so the list holds no duplicates and all structure
+    shared between arcs goes through stars.
     """
     # tuple.__new__ makes each vertex in C: the generated NamedTuple
     # constructor is a Python call, and W(D) makes one or two per target

@@ -9,8 +9,11 @@ with the library's list search. The brute-force Eulerian oracle,
 `enumerate_eulerian_recursive` and its parity tally
 `count_ee_eo_bruteforce`, is a recursive subset walk that imports nothing
 from `wdlab.eulerian`, so it shares no code with the frontier counter it
-checks. Lookups and oracles that only tests call live here too, not in
-the library.
+checks. The gamma-paths are spelled out here too, path by path
+(`GammaPath`, `gamma_paths_for_arc`), as the reference W(D) that
+`build_wd` must equal; they take the vertex types and `WDigraph` from the
+library and never call `build_wd`. Lookups and oracles that only tests
+call live here too, not in the library.
 """
 
 from __future__ import annotations
@@ -18,25 +21,25 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from wdlab import (
     EulerianCount,
-    GammaPath,
     Graph,
     LinearFactor,
     Orientation,
+    SectorX,
+    SectorY,
     Star,
     SweepReport,
     VertexPartition,
     WDigraph,
     additive_coefficient,
-    gamma_paths_for_arc,
 )
 from wdlab.graphs import orientation_count, orientation_from_index, two_color
 from wdlab.polynomials import _additive_splits, _classical_splits
-from wdlab.wd import WArc
 
 
 #: Arc cap of the seeded random orientations that tests hand the
@@ -406,6 +409,51 @@ def symmetric_difference_neighborhoods(
     return nv - nw, nw - (nv | {v})
 
 
+@dataclass(frozen=True)
+class GammaPath:
+    """The unique star-to-star path through one sector for one target."""
+
+    arc: tuple[int, int]
+    target: int
+    edges: tuple[tuple, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.edges)
+
+    @property
+    def is_odd(self) -> bool:
+        """True for the length-3 (direct) case."""
+        return len(self.edges) % 2 == 1
+
+
+def gamma_paths_for_arc(D: Orientation, arc: tuple[int, int]) -> list[GammaPath]:
+    """All gamma-paths of one sector, targets ascending, as the paper
+    defines them: the reference that `build_wd` is held to.
+
+    Every path enters at the root copy v^{vw} from v*, steps to the copy of
+    its target x (through y^{vw}_x for a detour target) and exits to x*.
+    The targets are N(v) symm-diff N(w) without v: x in N(v) \\ N(w) is
+    direct, x in N(w) \\ N[v] a detour. The arc is not checked.
+    """
+    v, w = arc
+    nv, nw = D.neighbors(v), D.neighbors(w)
+    root = SectorX(arc, v)
+    entry = (Star(v), root)
+    paths = []
+    for x in sorted(nv ^ nw):
+        if x == v:
+            continue
+        copy = SectorX(arc, x)
+        if x in nv:
+            edges = (entry, (root, copy), (copy, Star(x)))
+        else:
+            y = SectorY(arc, x)
+            edges = (entry, (root, y), (y, copy), (copy, Star(x)))
+        paths.append(GammaPath(arc, x, edges))
+    return paths
+
+
 def all_gamma_paths(D: Orientation) -> list[GammaPath]:
     """Every gamma-path of W(D), ordered by (arc, target)."""
     return [p for arc in D.sorted_arcs() for p in gamma_paths_for_arc(D, arc)]
@@ -431,7 +479,7 @@ def build_wd_from_paths(D: Orientation) -> WDigraph:
 
 
 def decompose_into_gamma_paths(
-    wd: WDigraph, arc_subset: frozenset[WArc] | set[WArc]
+    wd: WDigraph, arc_subset: frozenset[tuple] | set[tuple]
 ) -> Optional[list[GammaPath]]:
     """Split an arc subset of W(D) into edge-disjoint gamma-paths.
 

@@ -21,6 +21,7 @@ from helpers import (
     decompose_into_gamma_paths,
     enumerate_eulerian_recursive,
     enumerate_orientations,
+    gamma_paths_for_arc,
     is_balanced,
     random_lists,
     random_orientation,
@@ -37,7 +38,6 @@ from wdlab import (
     count_ee_eo_classic,
     count_ee_eo_wd,
     find_additive_coloring,
-    gamma_paths_for_arc,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,

@@ -123,6 +123,10 @@ class TestFindAdditiveColoring:
             find_additive_coloring(G, {1: [1], 2: [0]})
         with pytest.raises(ValueError):
             find_additive_coloring(G, {1: [1, "a"], 2: [3]})
+        # a value that is not a collection fails the scan, not with a TypeError
+        for value in (5, None):
+            with pytest.raises(ValueError, match="^list for vertex 1 must hold positive integers$"):
+                find_additive_coloring(gen_cycle(3), {1: value, 2: [1], 3: [2]})
         with pytest.raises(ValueError):
             find_additive_coloring(G, {1: [1], 2: [1], 3: [1]})
 

@@ -15,6 +15,7 @@ from helpers import (
     decompose_into_gamma_paths,
     enumerate_eulerian_recursive,
     enumerate_orientations,
+    gamma_paths_for_arc,
     gnp_orientation,
     interleaved_star,
     is_acyclic,
@@ -33,7 +34,6 @@ from wdlab import (
     classical_coefficient,
     count_ee_eo_classic,
     count_ee_eo_wd,
-    gamma_paths_for_arc,
     gen_sun,
 )
 from wdlab.eulerian import _count, _wd_arc_plan
@@ -235,19 +235,30 @@ class TestWdCounter:
         with pytest.raises(BoundExceededError, match=f"reached {peak} balance states"):
             _count(_wd_arc_plan(D), bound=peak - 1)
 
-    def test_answers_when_either_order_fits_the_bound(self):
-        # wd:g12:c fits 7,152 states only in search order (12,281 in label
-        # order), wd:g14:a 23,340 only in label order (40,024 in search
-        # order); the public counter answers both, and when neither order
-        # fits it raises the label order's error
+    def test_runs_once_in_search_order(self):
+        # both counters run once, on D relabelled in search order, so the
+        # bound must fit that order's widest level: wd:g12:c needs 7,152
+        # states there (12,281 in label order) and wd:g14:a 40,024 (23,340),
+        # and a bound that only the label order would fit raises the search
+        # order's error, whose count can pass the bound by a few states;
+        # the same holds for the classical plan of x:g16:c, 30 states in
+        # search order and 27 in label order
         g12 = gnp_orientation("wd:g12:c", 12)
         g14 = gnp_orientation("wd:g14:a", 14)
+        g16 = gnp_orientation("x:g16:c", 16)
         assert count_ee_eo_wd(g12, bound=7152) == EulerianCount(1055575273933, 1053687526407)
-        assert count_ee_eo_wd(g14, bound=23340) == EulerianCount(8455646381602, 8440806944937)
+        assert count_ee_eo_wd(g14, bound=40024) == EulerianCount(8455646381602, 8440806944937)
+        assert count_ee_eo_classic(g16, bound=30) == EulerianCount(33, 35)
         with pytest.raises(BoundExceededError, match="reached 7152 balance states"):
             count_ee_eo_wd(g12, bound=7151)
-        with pytest.raises(BoundExceededError, match="reached 23340 balance states"):
-            count_ee_eo_wd(g14, bound=23339)
+        with pytest.raises(BoundExceededError, match="reached 40024 balance states"):
+            count_ee_eo_wd(g14, bound=40023)
+        with pytest.raises(BoundExceededError, match="reached 23343 balance states"):
+            count_ee_eo_wd(g14, bound=23340)
+        with pytest.raises(BoundExceededError, match="reached 30 balance states"):
+            count_ee_eo_classic(g16, bound=29)
+        with pytest.raises(BoundExceededError, match="reached 28 balance states"):
+            count_ee_eo_classic(g16, bound=27)
 
     def test_plan_splits_as_symmetric_difference(self, d1, d2, d3):
         # the plan reads the two neighbourhoods itself; it must split them as
@@ -265,10 +276,11 @@ class TestWdCounter:
     def test_state_bound(self, d2):
         with pytest.raises(BoundExceededError, match=r"reached 2 balance states.*state bound 1 "):
             count_ee_eo_wd(d2, bound=1)
-        # d2's largest level holds 5 states in search order, 6 in label order
-        with pytest.raises(BoundExceededError, match="state bound 4 "):
-            count_ee_eo_wd(d2, bound=4)
-        assert count_ee_eo_wd(d2, bound=5) == EulerianCount(2, 8)
+        # d2's largest level holds 6 states in search order (5 in label
+        # order, which the counter no longer tries)
+        with pytest.raises(BoundExceededError, match="reached 6 balance states.*state bound 5 "):
+            count_ee_eo_wd(d2, bound=5)
+        assert count_ee_eo_wd(d2, bound=6) == EulerianCount(2, 8)
 
 
 class TestEulerianPathStructure:

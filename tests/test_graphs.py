@@ -484,8 +484,8 @@ class TestEnumerateOrientations:
 K3 = gen_complete(3)
 K3_ARC = Orientation(3, frozenset([(1, 2), (2, 3), (1, 3)]))
 K3_LISTS = {v: [1, 2, 3] for v in K3.vertices()}
-#: Every bound, index and vertex count argument (the sweep's limit has
-#: its own tests):
+#: Every bound, index, vertex count and generator size argument (the
+#: sweep's limit has its own tests):
 #: its name, a call on a value and a value that call takes.
 COUNT_ARGUMENTS = {
     "conjecture_sweep bound": ("bound", lambda x: conjecture_sweep(K3, x), 3),
@@ -497,6 +497,11 @@ COUNT_ARGUMENTS = {
     "orientation_from_index index": ("index", lambda x: orientation_from_index(K3, x), 7),
     "Graph n": ("vertex count", lambda x: Graph(x, K3.edges), 3),
     "Orientation n": ("vertex count", lambda x: Orientation(x, K3_ARC.arcs), 3),
+    "gen_sun k": ("sun parameter", gen_sun, 2),
+    "gen_cycle n": ("cycle length", gen_cycle, 3),
+    "gen_complete n": ("vertex count", gen_complete, 1),
+    "gen_complete_bipartite a": ("side a", lambda x: gen_complete_bipartite(x, 1), 1),
+    "gen_complete_bipartite b": ("side b", lambda x: gen_complete_bipartite(1, x), 1),
 }
 
 

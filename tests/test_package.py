@@ -22,7 +22,6 @@ EXPORTS = {
     "BoundExceededError",
     "CappedPolynomial",
     "EulerianCount",
-    "GammaPath",
     "Graph",
     "LinearFactor",
     "Orientation",
@@ -43,7 +42,6 @@ EXPORTS = {
     "count_ee_eo_wd",
     "expand_capped",
     "find_additive_coloring",
-    "gamma_paths_for_arc",
     "gen_complete",
     "gen_complete_bipartite",
     "gen_cycle",
@@ -75,6 +73,22 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def helpers_tree() -> ast.Module:
+    return ast.parse((ROOT / "tests" / "helpers.py").read_text())
+
+
+def helpers_imports() -> set[str]:
+    """The dotted names `tests/helpers.py` imports, "wdlab.Graph" for
+    `from wdlab import Graph`."""
+    imported = set()
+    for node in ast.walk(helpers_tree()):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return imported
+
+
 def test_exports_sorted_unique_and_pinned():
     names = wdlab.__all__
     assert names == sorted(names)
@@ -90,14 +104,31 @@ def test_eulerian_route_shares_no_code_with_the_coefficient_route():
     # wdlab and nothing from wdlab.eulerian
     assert package_imports("eulerian") <= {"errors", "graphs"}
     assert package_imports("polynomials") <= {"graphs"}
-    imported = set()  # dotted names, "wdlab.Graph" for `from wdlab import Graph`
-    for node in ast.walk(ast.parse((ROOT / "tests" / "helpers.py").read_text())):
-        if isinstance(node, ast.ImportFrom):
-            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+    imported = helpers_imports()
     assert "wdlab.EulerianCount" in imported
     assert not [name for name in imported if name.startswith("wdlab.eulerian")]
+
+
+#: All that the tests' gamma-path reference may take from `wdlab.wd`.
+WD_NAMES_IN_HELPERS = {"SectorX", "SectorY", "Star", "WDigraph"}
+
+
+def test_gamma_path_reference_shares_no_code_with_build_wd():
+    # build_wd is held equal to the union of the helpers' gamma-paths, a
+    # check only while the helpers spell the paths out on their own: they
+    # take the vertex types and WDigraph from wdlab.wd and never call build_wd
+    imported = helpers_imports()
+    from_wd = {
+        name.rpartition(".")[2]
+        for name in imported
+        if name.startswith("wdlab.wd.")  # or a wdlab name that wd defines
+        or getattr(getattr(wdlab, name.removeprefix("wdlab."), None), "__module__", None)
+        == wd.__name__
+    }
+    assert "Star" in from_wd
+    assert from_wd <= WD_NAMES_IN_HELPERS
+    assert "wdlab.wd" not in imported  # neither `import wdlab.wd` nor `from wdlab import wd`
+    assert "build_wd" not in names_used(helpers_tree())
 
 
 def test_import_scan_sees_package_imports():
@@ -108,10 +139,10 @@ def test_import_scan_sees_package_imports():
 PACKED_LAYOUT = {"_bit_fields", "_packed", "_product", "_expand", "Field"}
 
 
-def names_used(module: str) -> set[str]:
-    """Every name, attribute and imported name that `module` spells."""
+def names_used(tree: ast.Module) -> set[str]:
+    """Every name, attribute and imported name that `tree` spells."""
     found = set()
-    for node in ast.walk(module_tree(module)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -131,10 +162,10 @@ def test_only_polynomials_knows_the_packed_layout():
         for alias in node.names
     ]
     assert len(imported) == 1, imported
-    assert names_used("polynomials") >= PACKED_LAYOUT
+    assert names_used(module_tree("polynomials")) >= PACKED_LAYOUT
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "polynomials":
-            assert not names_used(path.stem) & PACKED_LAYOUT, path.name
+            assert not names_used(module_tree(path.stem)) & PACKED_LAYOUT, path.name
 
 
 def test_benchmark_tracer_hooks_bind_to_the_package():

@@ -12,6 +12,7 @@ from helpers import (
     build_wd_from_paths,
     decompose_into_gamma_paths,
     gamma_path,
+    gamma_paths_for_arc,
     random_graph,
     random_orientation,
     symmetric_difference_neighborhoods,
@@ -22,7 +23,6 @@ from wdlab import (
     SectorY,
     Star,
     build_wd,
-    gamma_paths_for_arc,
     gen_sun,
     parse,
     to_text,
@@ -152,10 +152,6 @@ class TestBuildSector:
         a = (1, 2)
         assert vertices == frozenset({SectorX(a, 1), SectorX(a, 2)})
         assert arcs == frozenset({(SectorX(a, 1), SectorX(a, 2))})
-
-    def test_non_arc_rejected(self, d1):
-        with pytest.raises(ValueError):
-            gamma_paths_for_arc(d1, (2, 1))
 
 
 class TestBuildWd:
